@@ -35,11 +35,6 @@ class SingularFamilyError(ValueError):
     """A closed-form inverse was requested where the family is singular."""
 
 
-# Test-only hook: the verification suites must notice a mutated formula
-# constant, so this offset is added to the book-family determinant.
-_DET_FAULT = 0
-
-
 class MatrixKind(Enum):
     DISTANCE = "distance"
     LAPLACIAN = "laplacian"
@@ -241,9 +236,7 @@ def tnb_det(n: int, b: int) -> Fraction:
     (-1)^(b(n-4)+1) * 2^(b(n-3)+1) * b * (n-6)^(b-1)."""
     _require_book(n, b)
     sign = -1 if (b * (n - 4) + 1) % 2 else 1
-    return Fraction(
-        sign * 2 ** (b * (n - 3) + 1) * b * (n - 6) ** (b - 1) + _DET_FAULT
-    )
+    return Fraction(sign * 2 ** (b * (n - 3) + 1) * b * (n - 6) ** (b - 1))
 
 
 def tnb_structured(kind: MatrixKind, n: int, b: int) -> StructuredBlockForm:

@@ -215,15 +215,6 @@ def swap2() -> RationalMatrix:
     return RationalMatrix.from_rows([[0, 1], [1, 0]])
 
 
-def diag(values: Sequence[Entry]) -> RationalMatrix:
-    n = len(values)
-    zero = Fraction(0)
-    data = [[zero] * n for _ in range(n)]
-    for i, v in enumerate(values):
-        data[i][i] = Fraction(v)
-    return RationalMatrix(n, n, data)
-
-
 def _row_lcm(row: Sequence[Fraction]) -> int:
     l = 1
     for e in row:

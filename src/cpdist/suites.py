@@ -1,20 +1,20 @@
 """Verification suites: every closed-form claim in the package checked
 against the brute-force oracles, cell by cell.
 
-A cell is one parameter tuple plus a thunk that raises ``CellFailure`` on the
-first mismatch.  Suites aggregate cells into a ``VerificationReport`` whose
-JSON form is stable (fixed key order, rationals as strings); only the
-wall-time field varies between runs.  ``CPDIST_THREADS`` caps an optional
-thread pool over cells; results are merged in cell order either way.
+A cell is one grid entry plus a thunk that runs its check with exactly the
+params that entry shows; a check raises ``CellFailure`` on the first
+mismatch.  ``run_suite`` runs the cells serially in grid order and records
+any exception a check raises as a failed cell.  Suites aggregate cells into
+a ``VerificationReport`` whose JSON form is stable (fixed key order,
+rationals as strings); only the wall-time field varies between runs.
 """
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import closed_form as cf
 from . import graphs as gr
@@ -53,7 +53,24 @@ def _expect(condition: bool, expected, actual, location: str) -> None:
 
 
 def _expect_equal(expected, actual, location: str) -> None:
-    _expect(expected == actual, expected, actual, location)
+    """Raise ``CellFailure`` unless equal.  Two matrices of one shape are
+    reported by their first differing entry and the number that differ."""
+    if expected == actual:
+        return
+    if (isinstance(expected, RationalMatrix) and isinstance(actual, RationalMatrix)
+            and (expected.rows, expected.cols) == (actual.rows, actual.cols)):
+        differing = [
+            (i, j) for i in range(expected.rows) for j in range(expected.cols)
+            if expected.data[i][j] != actual.data[i][j]
+        ]
+        i, j = differing[0]
+        raise CellFailure(
+            f"{expected.data[i][j]} at [{i}][{j}]",
+            f"{actual.data[i][j]} at [{i}][{j}]; "
+            f"{len(differing)} of {expected.rows * expected.cols} entries differ",
+            location,
+        )
+    raise CellFailure(expected, actual, location)
 
 
 @dataclass
@@ -66,44 +83,29 @@ class VerificationReport:
     wall_time_ms: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "suite": self.suite,
-            "grid": self.grid,
-            "passed": self.passed,
-            "failed": self.failed,
-            "failures": self.failures,
-            "wall_time_ms": self.wall_time_ms,
-        }
+        return asdict(self)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CPDIST_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+def _cell(check: str, fn, *fixtures, **params):
+    """One cell: its grid entry and a thunk calling ``fn(*fixtures, **params)``,
+    so the entry is by construction what the check ran with."""
+    return {"check": check, **params}, partial(fn, *fixtures, **params)
 
 
 def _run_one(cell):
+    """The failure entry of one cell, or None if it passed."""
     params, thunk = cell
     try:
         thunk()
     except CellFailure as failure:
-        return {
-            "params": params,
-            "expected": failure.expected,
-            "actual": failure.actual,
-            "location": failure.location,
-        }
-    return None
-
-
-def _run_cells(cells):
-    workers = _worker_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_run_one, cells))
-    return [_run_one(cell) for cell in cells]
+        expected, actual, location = failure.expected, failure.actual, failure.location
+    except Exception as error:
+        # A check that crashes is a failed cell, never a crashed report.
+        expected, actual = "no exception", f"{type(error).__name__}: {error}"
+        location = str(params)
+    else:
+        return None
+    return {"params": params, "expected": expected, "actual": actual, "location": location}
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
@@ -112,10 +114,8 @@ def run_suite(name: str, seed: int = DEFAULT_SEED) -> VerificationReport:
         raise ValueError(f"unknown suite {name!r}; pick from {('all',) + SUITE_ORDER}")
     start = time.perf_counter()
     names = SUITE_ORDER if name == "all" else (name,)
-    cells = []
-    for sub in names:
-        cells.extend(_SUITE_BUILDERS[sub](seed))
-    failures = [out for out in _run_cells(cells) if out is not None]
+    cells = [cell for sub in names for cell in _SUITE_BUILDERS[sub](seed)]
+    failures = [out for out in map(_run_one, cells) if out is not None]
     return VerificationReport(
         suite=name,
         grid=[params for params, _ in cells],
@@ -190,7 +190,8 @@ def _cp_corpus(seed: int):
 # recognizer suite: graph construction, metrics, block structure, cp verdicts
 
 
-def _check_metric_invariants(g: gr.Graph, location: str) -> None:
+def _check_metric_invariants(g: gr.Graph, **params) -> None:
+    location = str(params)
     dist = gr.all_pairs_distances(g)
     n = g.vertex_count
     _expect(dist.is_symmetric(), "symmetric", "asymmetric", f"{location}: distance symmetry")
@@ -229,34 +230,27 @@ def _check_metric_invariants(g: gr.Graph, location: str) -> None:
 
 
 def _recognizer_cells(seed: int = DEFAULT_SEED):
-    cells = []
     corpus = _cp_corpus(seed)
-
-    for params, graph, _ in corpus:
-        cell_params = {"check": "metric-invariants", **params}
-        cells.append((
-            cell_params,
-            (lambda g=graph, loc=str(params): _check_metric_invariants(g, loc)),
-        ))
+    cells = [
+        _cell("metric-invariants", _check_metric_invariants, graph, **params)
+        for params, graph, _ in corpus
+    ]
 
     def tn_blockform(n: int):
         g = gr.build_family(gr.TnSingle(n))
         _expect_equal(cf.tn_distance(n), gr.all_pairs_distances(g), f"tn distance block form n={n}")
         _expect_equal(cf.tn_laplacian(n), gr.laplacian(g), f"tn laplacian block form n={n}")
 
-    for n in range(3, 9):
-        cells.append(({"check": "tn-blockform", "n": n}, lambda n=n: tn_blockform(n)))
+    cells += [_cell("tn-blockform", tn_blockform, n=n) for n in range(3, 9)]
 
     def kmn_blockform(m: int, n: int):
         g = gr.build_family(gr.CompleteBipartite(m, n))
         _expect_equal(cf.kmn_distance(m, n), gr.all_pairs_distances(g), f"kmn block form ({m},{n})")
 
-    for m in range(1, 5):
-        for n in range(1, 5):
-            cells.append((
-                {"check": "kmn-blockform", "m": m, "n": n},
-                lambda m=m, n=n: kmn_blockform(m, n),
-            ))
+    cells += [
+        _cell("kmn-blockform", kmn_blockform, m=m, n=n)
+        for m in range(1, 5) for n in range(1, 5)
+    ]
 
     def tnb_blockform(n: int, b: int):
         g = gr.build_family(gr.TnBook(n, b))
@@ -267,13 +261,6 @@ def _recognizer_cells(seed: int = DEFAULT_SEED):
         _expect_equal(
             g.edge_count, b * (2 * n - 3), f"book edge count ({n},{b})"
         )
-
-    for n in range(3, 9):
-        for b in range(2, 5):
-            cells.append((
-                {"check": "tnb-blockform", "n": n, "b": b},
-                lambda n=n, b=b: tnb_blockform(n, b),
-            ))
 
     def tnb_blocks(n: int, b: int):
         g = gr.build_family(gr.TnBook(n, b))
@@ -287,12 +274,8 @@ def _recognizer_cells(seed: int = DEFAULT_SEED):
         )
         _expect_equal(frozenset({hub}), decomposition.cut_vertices, f"book cut vertex ({n},{b})")
 
-    for n in range(3, 9):
-        for b in range(2, 5):
-            cells.append((
-                {"check": "tnb-blocks", "n": n, "b": b},
-                lambda n=n, b=b: tnb_blocks(n, b),
-            ))
+    for check, fn in (("tnb-blockform", tnb_blockform), ("tnb-blocks", tnb_blocks)):
+        cells += [_cell(check, fn, n=n, b=b) for n in range(3, 9) for b in range(2, 5)]
 
     def path_blocks():
         path = gr.build_family(gr.Tree(((1, 2), (2, 3), (3, 4))))
@@ -304,24 +287,21 @@ def _recognizer_cells(seed: int = DEFAULT_SEED):
         )
         _expect_equal(frozenset({2, 3}), decomposition.cut_vertices, "path cut vertices")
 
-    cells.append(({"check": "path-blocks"}, path_blocks))
-
     def k4_blocks():
         decomposition = gr.biconnected_blocks(gr.build_family(gr.K4()))
         _expect_equal(((1, 2, 3, 4),), decomposition.blocks, "k4 single block")
         _expect_equal(frozenset(), decomposition.cut_vertices, "k4 cut vertices")
 
-    cells.append(({"check": "k4-blocks"}, k4_blocks))
+    cells += [_cell("path-blocks", path_blocks), _cell("k4-blocks", k4_blocks)]
 
-    def cp_verdict(graph: gr.Graph, expected: bool, location: str):
+    def cp_verdict(graph: gr.Graph, expected: bool, **params):
         verdict, certificate = gr.is_cp_graph(graph)
-        _expect_equal(expected, verdict, f"{location}: cp verdict {certificate}")
+        _expect_equal(expected, verdict, f"{params}: cp verdict {certificate}")
 
-    for params, graph, expected in corpus:
-        cells.append((
-            {"check": "cp-verdict", **params},
-            (lambda g=graph, e=expected, loc=str(params): cp_verdict(g, e, loc)),
-        ))
+    cells += [
+        _cell("cp-verdict", cp_verdict, graph, expected, **params)
+        for params, graph, expected in corpus
+    ]
     return cells
 
 
@@ -330,8 +310,6 @@ def _recognizer_cells(seed: int = DEFAULT_SEED):
 
 
 def _lemmas_cells(seed: int = DEFAULT_SEED):
-    cells = []
-
     def aibj_cell(a: int, b: int, n: int):
         analysis = aibj_analysis(a, b, n)
         matrix = a * imat(n) + b * jmat(n, n)
@@ -345,22 +323,17 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
         else:
             _expect(analysis.inverse is None, "no inverse", "inverse", f"aI+bJ singular ({a},{b},{n})")
 
-    for a in range(-3, 4):
-        if a == 0:
-            continue
-        for b in range(-3, 4):
-            for n in range(2, 7):
-                cells.append((
-                    {"check": "aibj", "a": a, "b": b, "n": n},
-                    lambda a=a, b=b, n=n: aibj_cell(a, b, n),
-                ))
+    cells = [
+        _cell("aibj", aibj_cell, a=a, b=b, n=n)
+        for a in range(-3, 4) if a != 0 for b in range(-3, 4) for n in range(2, 7)
+    ]
 
     def swap_identities():
         a2 = swap2()
         _expect_equal(imat(2), a2 * a2, "swap squared")
         _expect_equal(jmat(2, 2), a2 * jmat(2, 2) * a2, "swap conjugates ones")
 
-    cells.append(({"check": "swap-identities"}, swap_identities))
+    cells.append(_cell("swap-identities", swap_identities))
 
     def ones_identities(r: int, s: int, t: int):
         a2 = swap2()
@@ -368,16 +341,13 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
         _expect_equal(jmat(r, 2), jmat(r, 2) * a2, f"ones absorbs swap ({r})")
         _expect_equal(t * jmat(r, s), jmat(r, t) * jmat(t, s), f"ones product ({r},{t},{s})")
 
-    for r in range(2, 7):
-        for s in range(2, 7):
-            for t in range(2, 7):
-                cells.append((
-                    {"check": "ones-identities", "r": r, "s": s, "t": t},
-                    lambda r=r, s=s, t=t: ones_identities(r, s, t),
-                ))
+    cells += [
+        _cell("ones-identities", ones_identities, r=r, s=s, t=t)
+        for r in range(2, 7) for s in range(2, 7) for t in range(2, 7)
+    ]
 
-    # Seeded instances are drawn eagerly at build time so the cells stay
-    # independent of each other (and of the thread pool).
+    # Seeded instances are drawn eagerly at build time, in grid order, so a
+    # cell's fixtures do not depend on which other cells run.
 
     def schur_cell(m: RationalMatrix, split: int, instance: int):
         head = list(range(split))
@@ -398,10 +368,7 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
             m = random_matrix(rng_schur, order, order)
             if det_exact(m) != 0 and det_exact(m.submatrix(list(range(split)))) != 0:
                 break
-        cells.append((
-            {"check": "schur", "instance": instance},
-            lambda m=m, split=split, i=instance: schur_cell(m, split, i),
-        ))
+        cells.append(_cell("schur", schur_cell, m, split, instance=instance))
 
     def rank_one_cell(a: RationalMatrix, update: RationalMatrix, instance: int):
         result = rank_one_update_inverse(inverse_exact(a), update)
@@ -415,10 +382,7 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
             update = random_rank_one(rng_rank_one, order)
             if det_exact(a + update) != 0:
                 break
-        cells.append((
-            {"check": "rank-one", "instance": instance},
-            lambda a=a, u=update, i=instance: rank_one_cell(a, u, i),
-        ))
+        cells.append(_cell("rank-one", rank_one_cell, a, update, instance=instance))
 
     def block_triangular_cell(a, b, c, instance: int):
         m = RationalMatrix.block([[a, zmat(a.rows, b.cols)], [c, b]])
@@ -430,12 +394,12 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
     for instance in range(25):
         top = rng_block.randint(1, 4)
         bottom = rng_block.randint(1, 4)
-        cells.append((
-            {"check": "block-triangular-det", "instance": instance},
-            lambda a=random_matrix(rng_block, top, top),
-                   b=random_matrix(rng_block, bottom, bottom),
-                   c=random_matrix(rng_block, bottom, top),
-                   i=instance: block_triangular_cell(a, b, c, i),
+        cells.append(_cell(
+            "block-triangular-det", block_triangular_cell,
+            random_matrix(rng_block, top, top),
+            random_matrix(rng_block, bottom, bottom),
+            random_matrix(rng_block, bottom, top),
+            instance=instance,
         ))
 
     def det_product_cell(a, b, instance: int):
@@ -446,11 +410,11 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
     rng_prod = Lcg(seed + 3)
     for instance in range(25):
         order = rng_prod.randint(1, 6)
-        cells.append((
-            {"check": "det-multiplicative", "instance": instance},
-            lambda a=random_matrix(rng_prod, order, order),
-                   b=random_matrix(rng_prod, order, order),
-                   i=instance: det_product_cell(a, b, i),
+        cells.append(_cell(
+            "det-multiplicative", det_product_cell,
+            random_matrix(rng_prod, order, order),
+            random_matrix(rng_prod, order, order),
+            instance=instance,
         ))
 
     def inverse_roundtrip_cell(a: RationalMatrix, instance: int):
@@ -461,9 +425,9 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
     rng_inv = Lcg(seed + 4)
     for instance in range(100):
         order = rng_inv.randint(1, 8)
-        cells.append((
-            {"check": "inverse-roundtrip", "instance": instance},
-            lambda a=random_invertible(rng_inv, order), i=instance: inverse_roundtrip_cell(a, i),
+        cells.append(_cell(
+            "inverse-roundtrip", inverse_roundtrip_cell,
+            random_invertible(rng_inv, order), instance=instance,
         ))
 
     def charpoly_cell(m: RationalMatrix, instance: int):
@@ -483,9 +447,9 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
     rng_charpoly = Lcg(seed + 5)
     for instance in range(25):
         order = rng_charpoly.randint(1, 6)
-        cells.append((
-            {"check": "charpoly-consistency", "instance": instance},
-            lambda m=random_matrix(rng_charpoly, order, order), i=instance: charpoly_cell(m, i),
+        cells.append(_cell(
+            "charpoly-consistency", charpoly_cell,
+            random_matrix(rng_charpoly, order, order), instance=instance,
         ))
     return cells
 
@@ -495,14 +459,11 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
 
 
 def _dets_cells(seed: int = DEFAULT_SEED):
-    cells = []
-
     def tn_det(n: int):
         dist = gr.all_pairs_distances(gr.build_family(gr.TnSingle(n)))
         _expect_equal(det_exact(dist), cf.tn_formulas(n).det, f"tn det n={n}")
 
-    for n in range(3, 13):
-        cells.append(({"check": "tn-det", "n": n}, lambda n=n: tn_det(n)))
+    cells = [_cell("tn-det", tn_det, n=n) for n in range(3, 13)]
 
     def kmn_det(m: int, n: int):
         dist = gr.all_pairs_distances(gr.build_family(gr.CompleteBipartite(m, n)))
@@ -511,12 +472,7 @@ def _dets_cells(seed: int = DEFAULT_SEED):
         _expect_equal(oracle, result.det, f"kmn det ({m},{n})")
         _expect_equal((m, n) == (2, 2), result.det == 0, f"kmn singularity ({m},{n})")
 
-    for m in range(1, 9):
-        for n in range(1, 9):
-            cells.append((
-                {"check": "kmn-det", "m": m, "n": n},
-                lambda m=m, n=n: kmn_det(m, n),
-            ))
+    cells += [_cell("kmn-det", kmn_det, m=m, n=n) for m in range(1, 9) for n in range(1, 9)]
 
     def tnb_det_cell(n: int, b: int):
         dist = gr.all_pairs_distances(gr.build_family(gr.TnBook(n, b)))
@@ -524,22 +480,16 @@ def _dets_cells(seed: int = DEFAULT_SEED):
         _expect_equal(det_exact(dist), value, f"book det ({n},{b})")
         _expect_equal(n == 6, value == 0, f"book singularity ({n},{b})")
 
-    for n in range(3, 11):
-        for b in range(2, 6):
-            cells.append((
-                {"check": "tnb-det", "n": n, "b": b},
-                lambda n=n, b=b: tnb_det_cell(n, b),
-            ))
+    cells += [_cell("tnb-det", tnb_det_cell, n=n, b=b) for n in range(3, 11) for b in range(2, 6)]
 
-    def tree_det_cell(index: int, tree: gr.Graph):
+    def tree_det_cell(tree: gr.Graph, instance: int, n: int):
         dist = gr.all_pairs_distances(tree)
-        _expect_equal(det_exact(dist), cf.tree_det(tree), f"tree det #{index}")
+        _expect_equal(det_exact(dist), cf.tree_det(tree), f"tree det #{instance}")
 
-    for index, tree in seeded_trees(seed=seed):
-        cells.append((
-            {"check": "tree-det", "instance": index, "n": tree.vertex_count},
-            lambda i=index, t=tree: tree_det_cell(i, t),
-        ))
+    cells += [
+        _cell("tree-det", tree_det_cell, tree, instance=index, n=tree.vertex_count)
+        for index, tree in seeded_trees(seed=seed)
+    ]
     return cells
 
 
@@ -548,8 +498,6 @@ def _dets_cells(seed: int = DEFAULT_SEED):
 
 
 def _inverses_cells(seed: int = DEFAULT_SEED):
-    cells = []
-
     def tn_inverse(n: int):
         g = gr.build_family(gr.TnSingle(n))
         dist = gr.all_pairs_distances(g)
@@ -561,8 +509,7 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
         recovered = 2 * formulas.inverse + gr.laplacian(g) - jmat(n, n)
         _expect_equal(formulas.rmat, recovered, f"tn correction identity n={n}")
 
-    for n in range(3, 13):
-        cells.append(({"check": "tn-inverse", "n": n}, lambda n=n: tn_inverse(n)))
+    cells = [_cell("tn-inverse", tn_inverse, n=n) for n in range(3, 13)]
 
     def kmn_inverse(m: int, n: int):
         result = cf.kmn_formulas(m, n)
@@ -572,12 +519,7 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
         dist = gr.all_pairs_distances(gr.build_family(gr.CompleteBipartite(m, n)))
         _expect_equal(imat(m + n), dist * result.inverse, f"kmn inverse product ({m},{n})")
 
-    for m in range(1, 9):
-        for n in range(1, 9):
-            cells.append((
-                {"check": "kmn-inverse", "m": m, "n": n},
-                lambda m=m, n=n: kmn_inverse(m, n),
-            ))
+    cells += [_cell("kmn-inverse", kmn_inverse, m=m, n=n) for m in range(1, 9) for n in range(1, 9)]
 
     def tnb_inverse_cell(n: int, b: int):
         order = b * (n - 1) + 1
@@ -620,36 +562,28 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
 
     for n in (3, 4, 5, 7, 8, 9, 10):
         for b in range(2, 6):
-            cells.append((
-                {"check": "tnb-inverse", "n": n, "b": b},
-                lambda n=n, b=b: tnb_inverse_cell(n, b),
-            ))
-            cells.append((
-                {"check": "tnb-block-identities", "n": n, "b": b},
-                lambda n=n, b=b: tnb_block_identities(n, b),
-            ))
+            cells.append(_cell("tnb-inverse", tnb_inverse_cell, n=n, b=b))
+            cells.append(_cell("tnb-block-identities", tnb_block_identities, n=n, b=b))
 
-    def tnb_singular(b: int):
+    def tnb_singular(n: int, b: int):
         try:
-            cf.tnb_inverse(6, b)
+            cf.tnb_inverse(n, b)
         except cf.SingularFamilyError:
             return
-        raise CellFailure("SingularFamilyError", "no error", f"book inverse n=6 b={b}")
+        raise CellFailure("SingularFamilyError", "no error", f"book inverse n={n} b={b}")
 
-    for b in range(2, 6):
-        cells.append(({"check": "tnb-singular", "n": 6, "b": b}, lambda b=b: tnb_singular(b)))
+    cells += [_cell("tnb-singular", tnb_singular, n=6, b=b) for b in range(2, 6)]
 
-    def tree_inverse_cell(index: int, tree: gr.Graph):
+    def tree_inverse_cell(tree: gr.Graph, instance: int, n: int):
         dist = gr.all_pairs_distances(tree)
         inv = cf.tree_inverse(tree)
-        _expect_equal(imat(tree.vertex_count), dist * inv, f"tree inverse product #{index}")
-        _expect_equal(inverse_exact(dist), inv, f"tree inverse oracle #{index}")
+        _expect_equal(imat(n), dist * inv, f"tree inverse product #{instance}")
+        _expect_equal(inverse_exact(dist), inv, f"tree inverse oracle #{instance}")
 
-    for index, tree in seeded_trees(seed=seed):
-        cells.append((
-            {"check": "tree-inverse", "instance": index, "n": tree.vertex_count},
-            lambda i=index, t=tree: tree_inverse_cell(i, t),
-        ))
+    cells += [
+        _cell("tree-inverse", tree_inverse_cell, tree, instance=index, n=tree.vertex_count)
+        for index, tree in seeded_trees(seed=seed)
+    ]
     return cells
 
 
@@ -658,8 +592,6 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
 
 
 def _spectra_cells(seed: int = DEFAULT_SEED):
-    cells = []
-
     def part_order(part: str, n: int, b: int) -> int:
         return {"B": 2 * b, "N": b * (n - 3), "NC": b * (n - 3) + 1}[part]
 
@@ -690,42 +622,26 @@ def _spectra_cells(seed: int = DEFAULT_SEED):
                 linear_factor_product(claim), quotient, f"quadratic quotient {part} ({n},{b})"
             )
 
-    for n in range(3, 11):
-        for b in range(2, 6):
-            cells.append((
-                {"check": "spectrum", "part": "B", "n": n, "b": b},
-                lambda n=n, b=b: spectrum_cell("B", n, b),
-            ))
-    for part in ("N", "NC"):
-        for n in range(4, 11):
-            for b in range(2, 6):
-                cells.append((
-                    {"check": "spectrum", "part": part, "n": n, "b": b},
-                    lambda p=part, n=n, b=b: spectrum_cell(p, n, b),
-                ))
+    cells = [
+        _cell("spectrum", spectrum_cell, part=part, n=n, b=b)
+        for part, low in (("B", 3), ("N", 4), ("NC", 4))
+        for n in range(low, 11) for b in range(2, 6)
+    ]
 
-    def single_fan_base(n: int):
-        rmat = cf.tn_rmat(n)
-        base = rmat.submatrix([0, 1])
-        expected = CharPoly.linear(n - 2) * CharPoly.linear(-(n - 2))
-        _expect_equal(expected, char_poly_exact(base), f"single-fan base spectrum n={n}")
+    def single_fan_spectrum(part: str, n: int):
+        if part == "B":
+            label, indices = "base", [0, 1]
+            expected = CharPoly.linear(n - 2) * CharPoly.linear(-(n - 2))
+        else:
+            label, indices = "nonbase", list(range(2, n))
+            expected = (CharPoly.linear(1) ** (n - 3)) * CharPoly.linear(3 - n)
+        computed = char_poly_exact(cf.tn_rmat(n).submatrix(indices))
+        _expect_equal(expected, computed, f"single-fan {label} spectrum n={n}")
 
-    def single_fan_nonbase(n: int):
-        rmat = cf.tn_rmat(n)
-        nonbase = rmat.submatrix(list(range(2, n)))
-        expected = (CharPoly.linear(1) ** (n - 3)) * CharPoly.linear(3 - n)
-        _expect_equal(expected, char_poly_exact(nonbase), f"single-fan nonbase spectrum n={n}")
-
-    for n in range(3, 11):
-        cells.append((
-            {"check": "single-fan-spectrum", "part": "B", "n": n},
-            lambda n=n: single_fan_base(n),
-        ))
-    for n in range(4, 11):
-        cells.append((
-            {"check": "single-fan-spectrum", "part": "N", "n": n},
-            lambda n=n: single_fan_nonbase(n),
-        ))
+    cells += [
+        _cell("single-fan-spectrum", single_fan_spectrum, part=part, n=n)
+        for part, low in (("B", 3), ("N", 4)) for n in range(low, 11)
+    ]
     return cells
 
 

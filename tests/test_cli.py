@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, fault injection."""
 
+import dataclasses
 import json
 from fractions import Fraction
 
@@ -143,20 +144,46 @@ class TestVerify:
         } <= checks
 
     def test_injected_fault_flips_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setattr(cf, "_DET_FAULT", 2)
+        tnb_det = cf.tnb_det
+        monkeypatch.setattr(cf, "tnb_det", lambda n, b: tnb_det(n, b) + 2)
         assert main(["verify", "--suite", "all"]) == 3
         out = capsys.readouterr().out
         assert "FAIL" in out and "book det" in out
 
-    def test_thread_pool_gives_same_report(self, capsys, monkeypatch):
-        assert main(["verify", "--suite", "spectra", "--json", "-"]) == 0
-        serial = json.loads(capsys.readouterr().out)
-        monkeypatch.setenv("CPDIST_THREADS", "4")
-        assert main(["verify", "--suite", "spectra", "--json", "-"]) == 0
-        threaded = json.loads(capsys.readouterr().out)
-        serial.pop("wall_time_ms")
-        threaded.pop("wall_time_ms")
-        assert serial == threaded
+    def test_exception_in_check_is_a_failed_cell(self, capsys, monkeypatch):
+        def broken(n, b):
+            raise ArithmeticError(f"injected at ({n}, {b})")
+
+        monkeypatch.setattr(cf, "tnb_det", broken)
+        assert main(["verify", "--suite", "dets", "--json", "-"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["failed"] == 32
+        assert payload["passed"] == len(payload["grid"]) - 32
+        assert [f["params"] for f in payload["failures"]] == [
+            {"check": "tnb-det", "n": n, "b": b} for n in range(3, 11) for b in range(2, 6)
+        ]
+        for failure in payload["failures"]:
+            n, b = failure["params"]["n"], failure["params"]["b"]
+            assert list(failure) == ["params", "expected", "actual", "location"]
+            assert failure["expected"] == "no exception"
+            assert failure["actual"] == f"ArithmeticError: injected at ({n}, {b})"
+            assert f"'n': {n}, 'b': {b}" in failure["location"]
+
+    def test_matrix_mismatch_names_first_differing_entry(self, capsys, monkeypatch):
+        tnb_xblocks = cf.tnb_xblocks
+
+        def perturbed(n, b):
+            form = tnb_xblocks(n, b)
+            return dataclasses.replace(form, corner=form.corner + 1)
+
+        monkeypatch.setattr(cf, "tnb_xblocks", perturbed)
+        assert main(["verify", "--suite", "inverses", "--json", "-"]) == 3
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        display = [f for f in failures if f["location"] == "book inverse block display (5,2)"]
+        assert len(display) == 1
+        corner = cf.tnb_inverse(5, 2, verify_product=False)[8, 8]
+        assert display[0]["expected"] == f"{corner + 1} at [8][8]"
+        assert display[0]["actual"] == f"{corner} at [8][8]; 1 of 81 entries differ"
 
 
 class TestSpectrum:
