@@ -1,19 +1,25 @@
 """Exact rational dense linear algebra.
 
-Everything in here is tolerance-free: entries are ``fractions.Fraction``
-values, determinants come from fraction-free Bareiss elimination on a
-denominator-cleared integer matrix, inverses from exact Gauss-Jordan, and
-characteristic polynomials from the Faddeev-LeVerrier recursion carried out
-in integer arithmetic.  These routines double as the brute-force oracles for
-every closed-form formula in the package, so they deliberately avoid any
-shortcut shared with the closed forms.
+Everything in here is tolerance-free.  Entries are ``fractions.Fraction``
+values, but the dense kernels run their inner loops on Python ints: each row
+(or, for the right factor of a product, each column) is cleared to integers
+by the LCM of its denominators, and the result is rescaled exactly once at
+the end.  Products are integer dot products with one ``Fraction`` built per
+output entry, determinants come from fraction-free Bareiss elimination,
+inverses from fraction-free Bareiss-style Gauss-Jordan with a single
+division by the last pivot, and characteristic polynomials from the
+Faddeev-LeVerrier recursion on the integer matrix.  These routines double as
+the brute-force oracles for every closed-form formula in the package, so
+they are generic dense algorithms and share no shortcut with the closed
+forms they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm, prod
+from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -38,9 +44,12 @@ def rational_str(q: Fraction) -> str:
 class RationalMatrix:
     """Dense matrix of ``Fraction`` entries stored as a list of row lists.
 
-    The plain constructor trusts its input (used on hot paths where entries
-    are already Fractions); ``from_rows`` coerces ints.  Indices are 0-based;
-    graph-facing code translates 1-based vertex labels at its boundary.
+    The plain constructor trusts its input (entries must be Fractions or
+    ints); ``from_rows`` coerces ints.  Matrix products clear the rows of
+    the left factor and the columns of the right factor to integers, form
+    the integer product, and divide each entry once by its row and column
+    scales.  Indices are 0-based; graph-facing code translates 1-based
+    vertex labels at its boundary.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -162,10 +171,11 @@ class RationalMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            cols = list(zip(*other.data))
+            left, row_scales = _clear_rows(self.data)
+            right, col_scales = _clear_rows(zip(*other.data))
             data = [
-                [sum(a * b for a, b in zip(row, col)) for col in cols]
-                for row in self.data
+                [Fraction(s, l * c) for s, c in zip(sums, col_scales)]
+                for sums, l in zip(_int_mat_mul(left, right), row_scales)
             ]
             return RationalMatrix(self.rows, other.cols, data)
         return self._scale(other)
@@ -215,12 +225,17 @@ def swap2() -> RationalMatrix:
     return RationalMatrix.from_rows([[0, 1], [1, 0]])
 
 
-def _row_lcm(row: Sequence[Fraction]) -> int:
-    l = 1
-    for e in row:
-        d = e.denominator
-        l = l * d // gcd(l, d)
-    return l
+def _clear_rows(rows: Iterable[Sequence[Entry]]) -> tuple:
+    """Clear each row to integers: ``(int_rows, scales)`` with
+    ``int_rows[i] == scales[i] * rows[i]`` and ``scales[i]`` the LCM of row
+    i's denominators.  Pass ``zip(*m.data)`` to clear columns instead."""
+    int_rows: list[list[int]] = []
+    scales: list[int] = []
+    for row in rows:
+        l = lcm(*[e.denominator for e in row])
+        int_rows.append([e.numerator * (l // e.denominator) for e in row])
+        scales.append(l)
+    return int_rows, scales
 
 
 def det_exact(m: RationalMatrix) -> Fraction:
@@ -233,12 +248,7 @@ def det_exact(m: RationalMatrix) -> Fraction:
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
     n = m.rows
-    scale = 1
-    a: list[list[int]] = []
-    for row in m.data:
-        l = _row_lcm(row)
-        scale *= l
-        a.append([e.numerator * (l // e.denominator) for e in row])
+    a, scales = _clear_rows(m.data)
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -257,7 +267,7 @@ def det_exact(m: RationalMatrix) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], scale)
+    return Fraction(sign * a[n - 1][n - 1], prod(scales))
 
 
 def rank(m: RationalMatrix) -> int:
@@ -282,32 +292,48 @@ def rank(m: RationalMatrix) -> int:
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via Gauss-Jordan; pivot is the first nonzero in column."""
+    """Exact inverse via fraction-free (Bareiss-style) Gauss-Jordan.
+
+    The rows of m are cleared to integers (row i times its denominator LCM
+    l_i) and the integer matrix [L m | I] is reduced: at step k every row
+    but the pivot row becomes (p*x - f*y) // prev, where p is the pivot, f
+    the row's entry in column k, y the pivot row and prev the previous
+    pivot, and every division is exact.  The left block ends as
+    d*I with d the last pivot, so the right block is d * (L m)^-1 and the
+    inverse is that block over d with column j scaled back by l_j.  The
+    pivot is the first nonzero entry in its column; a singular matrix
+    raises ``SingularMatrixError`` carrying its rank.
+
+    Columns already eliminated hold only the known diagonal, so each row
+    keeps just its columns k.. of m followed by the n columns of the
+    identity block.
+    """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
     n = m.rows
-    one, zero = Fraction(1), Fraction(0)
-    aug = [
-        list(row) + [one if i == j else zero for j in range(n)]
-        for i, row in enumerate(m.data)
-    ]
+    a, scales = _clear_rows(m.data)
+    for i, row in enumerate(a):
+        row.extend(1 if i == j else 0 for j in range(n))
+    prev = 1
     for k in range(n):
-        piv = next((r for r in range(k, n) if aug[r][k] != 0), None)
+        piv = next((r for r in range(k, n) if a[r][0] != 0), None)
         if piv is None:
             raise SingularMatrixError("singular matrix", rank(m))
         if piv != k:
-            aug[k], aug[piv] = aug[piv], aug[k]
-        pivot = aug[k][k]
-        if pivot != 1:
-            aug[k] = [e / pivot for e in aug[k]]
-        row_k = aug[k]
-        for r in range(n):
-            if r == k:
-                continue
-            f = aug[r][k]
-            if f:
-                aug[r] = [x - f * y for x, y in zip(aug[r], row_k)]
-    return RationalMatrix(n, n, [row[n:] for row in aug])
+            a[k], a[piv] = a[piv], a[k]
+        row_k = a[k]
+        p = row_k[0]
+        del row_k[0]
+        for i in range(n):
+            if i != k:
+                # Rows with f = 0 are rescaled by p/prev all the same.
+                row_i = a[i]
+                f = row_i[0]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(row_i[1:], row_k)]
+        prev = p
+    return RationalMatrix(
+        n, n, [[Fraction(x * l, prev) for x, l in zip(row, scales)] for row in a]
+    )
 
 
 @dataclass(frozen=True)
@@ -392,9 +418,10 @@ class CharPoly:
         return out
 
 
-def _int_mat_mul(a: list, b: list) -> list:
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+def _int_mat_mul(a: list, cols: list) -> list:
+    """Integer product of ``a``, given by its rows, and a right factor
+    given by its columns."""
+    return [[sum(map(mul, row, col)) for col in cols] for row in a]
 
 
 def char_poly_exact(m: RationalMatrix) -> CharPoly:
@@ -407,17 +434,13 @@ def char_poly_exact(m: RationalMatrix) -> CharPoly:
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
-    s = 1
-    for row in m.data:
-        for e in row:
-            d = e.denominator
-            s = s * d // gcd(s, d)
+    s = lcm(*[e.denominator for row in m.data for e in row])
     b = [[e.numerator * (s // e.denominator) for e in row] for row in m.data]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     for k in range(1, n + 1):
-        am = _int_mat_mul(b, mk)
+        am = _int_mat_mul(b, list(zip(*mk)))
         t = sum(am[i][i] for i in range(n))
         q, r = divmod(-t, k)
         assert r == 0, "Faddeev-LeVerrier trace must divide exactly"

@@ -37,6 +37,65 @@ def small_int_matrix(order):
     ).map(RationalMatrix.from_rows)
 
 
+# Mixed denominators, with zero drawn often enough to give zero rows,
+# columns and pivots.
+rationals = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 12)),
+)
+
+
+def rational_rows(rows, cols):
+    return st.lists(
+        st.lists(rationals, min_size=cols, max_size=cols),
+        min_size=rows,
+        max_size=rows,
+    )
+
+
+def naive_product(a, b):
+    """Entrywise Fraction reference product, independent of linalg's
+    integer-cleared kernel."""
+    return [
+        [
+            sum((a.data[i][t] * b.data[t][j] for t in range(a.cols)), Fraction(0))
+            for j in range(b.cols)
+        ]
+        for i in range(a.rows)
+    ]
+
+
+@st.composite
+def product_operands(draw):
+    """A conformal rectangular pair, optionally with a zero row in the left
+    factor and a zero column in the right one."""
+    r, k, c = (draw(st.integers(1, 5)) for _ in range(3))
+    left = draw(rational_rows(r, k))
+    right = draw(rational_rows(k, c))
+    if draw(st.booleans()):
+        left[draw(st.integers(0, r - 1))] = [Fraction(0)] * k
+    if draw(st.booleans()):
+        j = draw(st.integers(0, c - 1))
+        for row in right:
+            row[j] = Fraction(0)
+    return RationalMatrix.from_rows(left), RationalMatrix.from_rows(right)
+
+
+class TestProduct:
+    @settings(max_examples=80, deadline=None)
+    @given(product_operands())
+    def test_matches_reference(self, operands):
+        a, b = operands
+        product = a * b
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.data == naive_product(a, b)
+        assert all(type(e) is Fraction for e in product.entries())
+
+    def test_shape_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="cannot multiply"):
+            jmat(2, 3) * jmat(2, 3)
+
+
 class TestDeterminant:
     def test_identity(self):
         assert det_exact(imat(5)) == 1
@@ -100,6 +159,57 @@ class TestInverse:
         with pytest.raises(SingularMatrixError) as err:
             inverse_exact(m)
         assert err.value.rank == 1
+
+    def test_zero_leading_pivot_forces_row_swap(self):
+        m = RationalMatrix.from_rows([
+            [0, Fraction(1, 2), 1],
+            [2, 0, Fraction(1, 3)],
+            [1, 1, 0],
+        ])
+        inv = inverse_exact(m)
+        assert naive_product(m, inv) == imat(3).data
+        assert naive_product(inv, m) == imat(3).data
+
+    def test_negative_determinant(self):
+        # det = -2, so the final fraction-free pivot is negative
+        m = RationalMatrix.from_rows([[1, 2], [3, 4]])
+        assert det_exact(m) < 0
+        expected = RationalMatrix.from_rows([
+            [-2, 1],
+            [Fraction(3, 2), Fraction(-1, 2)],
+        ])
+        assert inverse_exact(m) == expected
+
+    def test_one_by_one(self):
+        m = RationalMatrix.from_rows([[Fraction(-3, 4)]])
+        assert inverse_exact(m) == RationalMatrix.from_rows([[Fraction(-4, 3)]])
+
+    def test_rational_rank_two_reports_rank(self):
+        r1 = [Fraction(1, 2), Fraction(-2, 3), 1, Fraction(5, 7)]
+        r2 = [3, Fraction(1, 4), Fraction(-1, 6), 0]
+        m = RationalMatrix.from_rows([
+            r1,
+            r2,
+            [x + y for x, y in zip(r1, r2)],
+            [Fraction(x) / 2 - 3 * y for x, y in zip(r1, r2)],
+        ])
+        with pytest.raises(SingularMatrixError) as err:
+            inverse_exact(m)
+        assert err.value.rank == 2
+        assert str(err.value) == "singular matrix (rank 2)"
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda n: rational_rows(n, n)))
+    def test_rational_roundtrip_through_reference_product(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        if det_exact(m) == 0:
+            with pytest.raises(SingularMatrixError):
+                inverse_exact(m)
+            return
+        inv = inverse_exact(m)
+        n = m.rows
+        assert naive_product(m, inv) == imat(n).data
+        assert naive_product(inv, m) == imat(n).data
 
     def test_seeded_roundtrips(self):
         rng = Lcg(11)
