@@ -17,7 +17,8 @@ import argparse
 import json
 import sys
 import time
-from fractions import Fraction
+from dataclasses import dataclass, field
+from typing import Callable
 
 from . import closed_form as cf
 from . import graphs as gr
@@ -32,7 +33,6 @@ from .linalg import (
 from .rng import Lcg, random_tree_edges
 from .suites import SUITE_ORDER, run_suite
 
-FAMILIES = ("tn", "tn-book", "kmn", "star", "tree", "k4")
 KINDS = ("dist", "lap", "rmat")
 # Generic exact inversion above this order is not worth waiting for; bench
 # reports it as skipped instead.
@@ -52,27 +52,25 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="cpdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, family=False, json_flag=False, out=False):
+    def add_common(p, output, *, family=True):
         if family:
             p.add_argument("--family", choices=FAMILIES)
         p.add_argument("--n", type=int)
         p.add_argument("--b", type=int)
-        p.add_argument("--m", type=int)
-        p.add_argument("--seed", type=int, default=42)
-        if json_flag:
-            p.add_argument("--json", metavar="PATH|-")
-        if out:
-            p.add_argument("--out", metavar="PATH")
+        if family:
+            p.add_argument("--m", type=int)
+            p.add_argument("--seed", type=int, default=42)
+        p.add_argument(output, metavar="PATH|-" if output == "--json" else "PATH")
 
     p_gen = sub.add_parser("gen", help="write a distance/Laplacian/correction matrix as CSV")
-    add_common(p_gen, family=True, out=True)
+    add_common(p_gen, "--out")
     p_gen.add_argument("--kind", choices=KINDS, default="dist")
 
     p_det = sub.add_parser("det", help="closed-form determinant vs Bareiss oracle")
-    add_common(p_det, family=True, json_flag=True)
+    add_common(p_det, "--json")
 
     p_inv = sub.add_parser("inv", help="closed-form inverse as CSV (exit 2 when singular)")
-    add_common(p_inv, family=True, out=True)
+    add_common(p_inv, "--out")
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
     p_verify.add_argument("--suite", choices=("all",) + SUITE_ORDER, default="all")
@@ -80,40 +78,94 @@ def _build_parser() -> _Parser:
     p_verify.add_argument("--json", metavar="PATH|-")
 
     p_spec = sub.add_parser("spectrum", help="claimed vs computed eigenvalue factorization")
-    add_common(p_spec, family=True, json_flag=True)
+    add_common(p_spec, "--json", family=False)
     p_spec.add_argument("--part", choices=sp.PARTS)
 
     p_bench = sub.add_parser("bench", help="structured inverse assembly vs generic inversion")
-    add_common(p_bench, family=True, json_flag=True)
+    add_common(p_bench, "--json", family=False)
     return parser
 
 
-def _require(value, name: str, minimum: int):
+def _require(value, name: str, minimum):
     if value is None:
         raise UsageError(f"--{name} is required for this family")
-    if value < minimum:
+    if minimum is not None and value < minimum:
         raise UsageError(f"--{name} must be at least {minimum}")
     return value
 
 
-def _build_graph(args) -> gr.Graph:
-    family = args.family
-    if family == "tn":
-        return gr.build_family(gr.TnSingle(_require(args.n, "n", 3)))
-    if family == "tn-book":
-        return gr.build_family(gr.TnBook(_require(args.n, "n", 3), _require(args.b, "b", 2)))
-    if family == "kmn":
-        return gr.build_family(
-            gr.CompleteBipartite(_require(args.m, "m", 1), _require(args.n, "n", 1))
-        )
-    if family == "star":
-        return gr.build_family(gr.Star(_require(args.n, "n", 1)))
-    if family == "tree":
-        n = _require(args.n, "n", 2)
-        return gr.build_family(gr.Tree(random_tree_edges(n, Lcg(args.seed))))
-    if family == "k4":
-        return gr.build_family(gr.K4())
-    raise UsageError("--family is required")
+@dataclass(frozen=True)
+class _Family:
+    """One family's facts, each stated once: its flags with their minimums
+    (None: any value) in check order, its graph spec built from their values,
+    the closed-form det (of the built graph) and inverse (of the spec), and
+    the ``gen`` kinds it builds in closed form; other kinds use the graph."""
+
+    flags: dict
+    spec: Callable
+    det: Callable
+    inverse: Callable
+    gen: dict = field(default_factory=dict)
+
+
+def _kmn_inverse(m: int, n: int) -> RationalMatrix:
+    result = cf.kmn_formulas(m, n)
+    if result.singular:
+        raise cf.SingularFamilyError(result.reason)
+    return result.inverse
+
+
+def _book(kind: cf.MatrixKind) -> Callable:
+    return lambda s: cf.tnb_structured(kind, s.n, s.b).materialize()
+
+
+FAMILIES = {
+    "tn": _Family(
+        {"n": 3}, gr.TnSingle,
+        det=lambda g: cf.tn_formulas(g.family.n).det,
+        inverse=lambda s: cf.tn_formulas(s.n).inverse,
+        gen={"dist": lambda s: cf.tn_distance(s.n), "lap": lambda s: cf.tn_laplacian(s.n),
+             "rmat": lambda s: cf.tn_rmat(s.n)},
+    ),
+    "tn-book": _Family(
+        {"n": 3, "b": 2}, gr.TnBook,
+        det=lambda g: cf.tnb_det(g.family.n, g.family.b),
+        inverse=lambda s: cf.tnb_inverse(s.n, s.b),
+        gen={"dist": _book(cf.MatrixKind.DISTANCE), "lap": _book(cf.MatrixKind.LAPLACIAN),
+             "rmat": _book(cf.MatrixKind.RMAT)},
+    ),
+    "kmn": _Family(
+        {"m": 1, "n": 1}, gr.CompleteBipartite,
+        det=lambda g: cf.kmn_formulas(g.family.m, g.family.n).det,
+        inverse=lambda s: _kmn_inverse(s.m, s.n),
+    ),
+    "star": _Family(
+        {"n": 1}, gr.Star,
+        det=lambda g: cf.kmn_formulas(g.family.n, 1).det,
+        inverse=lambda s: _kmn_inverse(s.n, 1),
+    ),
+    "tree": _Family(
+        {"n": 2, "seed": None}, lambda n, seed: gr.Tree(random_tree_edges(n, Lcg(seed))),
+        det=cf.tree_det,
+        inverse=lambda s: cf.tree_inverse(gr.build_family(s)),
+    ),
+    "k4": _Family(
+        {}, gr.K4,
+        det=lambda g: aibj_analysis(-1, 1, 4).det,
+        inverse=lambda s: aibj_analysis(-1, 1, 4).inverse,
+    ),
+}
+_GRAPH_KINDS = {"dist": gr.all_pairs_distances, "lap": gr.laplacian}
+
+
+def _family(args) -> _Family:
+    if args.family is None:
+        raise UsageError("--family is required")
+    return FAMILIES[args.family]
+
+
+def _spec(family: _Family, args) -> gr.FamilySpec:
+    return family.spec(**{f: _require(getattr(args, f), f, low) for f, low in family.flags.items()})
 
 
 def _matrix_csv(m: RationalMatrix) -> str:
@@ -123,9 +175,12 @@ def _matrix_csv(m: RationalMatrix) -> str:
 def _write_text(text: str, path) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as err:
+        raise UsageError(f"cannot write {path}: {err.strerror or err}") from None
 
 
 def _write_json(payload: dict, path) -> None:
@@ -133,53 +188,22 @@ def _write_json(payload: dict, path) -> None:
 
 
 def _cmd_gen(args) -> int:
-    family = args.family
-    if family is None:
-        raise UsageError("--family is required")
-    kind = args.kind
-    if kind == "rmat":
-        if family == "tn":
-            matrix = cf.tn_rmat(_require(args.n, "n", 3))
-        elif family == "tn-book":
-            matrix = cf.tnb_structured(
-                cf.MatrixKind.RMAT, _require(args.n, "n", 3), _require(args.b, "b", 2)
-            ).materialize()
-        else:
-            raise UsageError("--kind rmat is defined only for tn and tn-book")
-    elif family == "tn":
-        n = _require(args.n, "n", 3)
-        matrix = cf.tn_distance(n) if kind == "dist" else cf.tn_laplacian(n)
-    elif family == "tn-book":
-        n, b = _require(args.n, "n", 3), _require(args.b, "b", 2)
-        which = cf.MatrixKind.DISTANCE if kind == "dist" else cf.MatrixKind.LAPLACIAN
-        matrix = cf.tnb_structured(which, n, b).materialize()
-    else:
-        graph = _build_graph(args)
-        matrix = gr.all_pairs_distances(graph) if kind == "dist" else gr.laplacian(graph)
+    family = _family(args)
+    build = family.gen.get(args.kind)
+    if build is None and args.kind not in _GRAPH_KINDS:
+        names = " and ".join(name for name, f in FAMILIES.items() if args.kind in f.gen)
+        raise UsageError(f"--kind {args.kind} is defined only for {names}")
+    spec = _spec(family, args)
+    matrix = build(spec) if build else _GRAPH_KINDS[args.kind](gr.build_family(spec))
     _write_text(_matrix_csv(matrix), args.out)
     return 0
 
 
-def _closed_form_det(args) -> Fraction:
-    family = args.family
-    if family == "tn":
-        return cf.tn_formulas(_require(args.n, "n", 3)).det
-    if family == "tn-book":
-        return cf.tnb_det(_require(args.n, "n", 3), _require(args.b, "b", 2))
-    if family == "kmn":
-        return cf.kmn_formulas(_require(args.m, "m", 1), _require(args.n, "n", 1)).det
-    if family == "star":
-        return cf.kmn_formulas(_require(args.n, "n", 1), 1).det
-    if family == "tree":
-        return cf.tree_det(_build_graph(args))
-    if family == "k4":
-        return aibj_analysis(-1, 1, 4).det
-    raise UsageError("--family is required")
-
-
 def _cmd_det(args) -> int:
-    formula = _closed_form_det(args)
-    oracle = det_exact(gr.all_pairs_distances(_build_graph(args)))
+    family = _family(args)
+    graph = gr.build_family(_spec(family, args))
+    formula = family.det(graph)
+    oracle = det_exact(gr.all_pairs_distances(graph))
     match = formula == oracle
     if args.json is not None:
         _write_json(
@@ -198,30 +222,10 @@ def _cmd_det(args) -> int:
     return 0 if match else 3
 
 
-def _closed_form_inverse(args) -> RationalMatrix:
-    family = args.family
-    if family == "tn":
-        return cf.tn_formulas(_require(args.n, "n", 3)).inverse
-    if family == "tn-book":
-        return cf.tnb_inverse(_require(args.n, "n", 3), _require(args.b, "b", 2))
-    if family in ("kmn", "star"):
-        if family == "kmn":
-            result = cf.kmn_formulas(_require(args.m, "m", 1), _require(args.n, "n", 1))
-        else:
-            result = cf.kmn_formulas(_require(args.n, "n", 1), 1)
-        if result.singular:
-            raise cf.SingularFamilyError(result.reason or "singular")
-        return result.inverse
-    if family == "tree":
-        return cf.tree_inverse(_build_graph(args))
-    if family == "k4":
-        return aibj_analysis(-1, 1, 4).inverse
-    raise UsageError("--family is required")
-
-
 def _cmd_inv(args) -> int:
+    family = _family(args)
     try:
-        inverse = _closed_form_inverse(args)
+        inverse = family.inverse(_spec(family, args))
     except cf.SingularFamilyError as err:
         print(f"singular: {err}", file=sys.stderr)
         return 2
@@ -246,8 +250,6 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.family not in (None, "tn-book"):
-        raise UsageError("spectrum tables are defined for the tn-book family")
     if args.part is None:
         raise UsageError("--part is required")
     n = _require(args.n, "n", 3)
@@ -286,8 +288,6 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.family not in (None, "tn-book"):
-        raise UsageError("bench runs on the tn-book family")
     n = args.n if args.n is not None else 8
     b = args.b if args.b is not None else 500
     if n < 3 or b < 2:
@@ -352,10 +352,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return _COMMANDS[args.command](args)
-    except UsageError as err:
-        print(f"usage error: {err}", file=sys.stderr)
-        return 1
-    except gr.GraphError as err:
+    except (UsageError, gr.GraphError) as err:
         print(f"usage error: {err}", file=sys.stderr)
         return 1
 

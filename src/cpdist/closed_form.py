@@ -166,46 +166,30 @@ def kmn_distance(m: int, n: int) -> RationalMatrix:
     ])
 
 
-def _star_inverse(leaves: int) -> RationalMatrix:
-    """Inverse of D(K_{leaves,1}) with the leaf part leading."""
-    k = leaves
-    return RationalMatrix.block([
-        [jmat(k, k) / (2 * k) - imat(k) / 2, ones_col(k) / k],
-        [ones_col(k).transpose() / k, RationalMatrix.from_rows([[Fraction(-2 * (k - 1), k)]])],
-    ])
-
-
 def kmn_formulas(m: int, n: int) -> FormulaResult:
     """Determinant and inverse of the complete bipartite distance matrix.
 
-    det = (-2)^(m+n-2) * (4(m-1)(n-1) - mn), zero exactly at (2, 2).  The
-    inverse uses the star block form when either part is a single vertex and
-    the general four-block form otherwise; the product D * D^-1 = I is
-    checked before returning.
+    det = (-2)^(m+n-2) * (4(m-1)(n-1) - mn), zero exactly at (2, 2).  With
+    q = 3mn - 4(m+n-1) the inverse is, for every nonsingular (m, n), stars
+    and the single edge included,
+
+        [ (3n-4)/(2q) J_m - I_m/2    -J_{m,n}/q               ]
+        [ -J_{n,m}/q                 (3m-4)/(2q) J_n - I_n/2  ]
+
+    q vanishes only at (2, 2): 3q + 4 = (3m-4)(3n-4), and the only way to
+    write 4 as such a product with m, n >= 1 is 2 * 2.  The product
+    D * D^-1 = I is checked before returning.
     """
     if m < 1 or n < 1:
         raise ValueError("parts must be nonempty")
     det = Fraction((-2) ** (m + n - 2) * (4 * (m - 1) * (n - 1) - m * n))
     if (m, n) == (2, 2):
         return FormulaResult(det, None, singular=True, reason="singular at m=n=2")
-    if (m, n) == (1, 1):
-        inverse = swap2()
-    elif n == 1:
-        inverse = _star_inverse(m)
-    elif m == 1:
-        blocks = _star_inverse(n)
-        # Hub-first layout: swap the roles so part-1 vertices stay first.
-        hub = blocks.submatrix([n], [n])
-        row = blocks.submatrix([n], list(range(n)))
-        col = blocks.submatrix(list(range(n)), [n])
-        body = blocks.submatrix(list(range(n)), list(range(n)))
-        inverse = RationalMatrix.block([[hub, row], [col, body]])
-    else:
-        q = 3 * m * n - 4 * (m + n - 1)
-        inverse = RationalMatrix.block([
-            [Fraction(3 * n - 4, 2 * q) * jmat(m, m) - imat(m) / 2, -jmat(m, n) / q],
-            [-jmat(n, m) / q, Fraction(3 * m - 4, 2 * q) * jmat(n, n) - imat(n) / 2],
-        ])
+    q = 3 * m * n - 4 * (m + n - 1)
+    inverse = RationalMatrix.block([
+        [Fraction(3 * n - 4, 2 * q) * jmat(m, m) - imat(m) / 2, -jmat(m, n) / q],
+        [-jmat(n, m) / q, Fraction(3 * m - 4, 2 * q) * jmat(n, n) - imat(n) / 2],
+    ])
     product = kmn_distance(m, n) * inverse
     if product != imat(m + n):
         raise ArithmeticError(f"bipartite inverse failed the product check at ({m}, {n})")

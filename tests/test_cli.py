@@ -7,9 +7,20 @@ from fractions import Fraction
 import pytest
 
 import cpdist.closed_form as cf
-from cpdist.cli import main
+from cpdist.cli import FAMILIES, main
 from cpdist.linalg import RationalMatrix, imat
-from cpdist.graphs import TnBook, build_family, all_pairs_distances
+from cpdist.graphs import (
+    K4,
+    CompleteBipartite,
+    Star,
+    TnBook,
+    TnSingle,
+    Tree,
+    all_pairs_distances,
+    build_family,
+    laplacian,
+)
+from cpdist.rng import Lcg, random_tree_edges
 
 
 def parse_csv(text):
@@ -242,3 +253,84 @@ class TestUsageErrors:
 
     def test_unknown_subcommand(self, capsys):
         assert main(["frobnicate"]) == 1
+
+    def test_unwritable_output_path(self, tmp_path, capsys):
+        missing = tmp_path / "missing" / "out"
+        for argv in (["det", "--family", "k4", "--json", str(missing)],
+                     ["gen", "--family", "k4", "--out", str(missing)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"usage error: cannot write {missing}: ")
+            assert not missing.exists()
+
+    @pytest.mark.parametrize("command", ["spectrum", "bench"])
+    @pytest.mark.parametrize("option", [["--family", "tn-book"], ["--m", "3"], ["--seed", "7"]])
+    def test_family_options_only_on_family_commands(self, command, option, capsys):
+        argv = [command, "--n", "5", "--b", "2"] + (["--part", "NC"] if command == "spectrum" else [])
+        assert main(argv + option) == 1
+        assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
+
+
+# Per family: its graph spec from the size flags, small sizes to run and the
+# minimum of each size flag.  (2, 2) and n = 6 are the singular sizes.
+FAMILY_CASES = {
+    "tn": (TnSingle, [{"n": 3}, {"n": 5}], {"n": 3}),
+    "tn-book": (TnBook, [{"n": 3, "b": 2}, {"n": 5, "b": 3}, {"n": 6, "b": 2}], {"n": 3, "b": 2}),
+    "kmn": (
+        CompleteBipartite,
+        [{"m": 1, "n": 1}, {"m": 1, "n": 3}, {"m": 3, "n": 1}, {"m": 2, "n": 3}, {"m": 2, "n": 2}],
+        {"m": 1, "n": 1},
+    ),
+    "star": (Star, [{"n": 1}, {"n": 4}], {"n": 1}),
+    "tree": (
+        lambda n, seed: Tree(random_tree_edges(n, Lcg(seed))),
+        [{"n": 2, "seed": 42}, {"n": 9, "seed": 7}],
+        {"n": 2},
+    ),
+    "k4": (K4, [{}], {}),
+}
+SINGULAR = [("kmn", {"m": 2, "n": 2}), ("tn-book", {"n": 6, "b": 2})]
+
+
+def family_argv(family, sizes):
+    return ["--family", family] + [arg for k, v in sizes.items() for arg in (f"--{k}", str(v))]
+
+
+def test_family_cases_cover_the_table():
+    assert set(FAMILY_CASES) == set(FAMILIES)
+
+
+@pytest.mark.parametrize("family,sizes", [
+    (family, sizes) for family, (_, runs, _) in FAMILY_CASES.items() for sizes in runs
+])
+def test_family_through_cli(family, sizes, capsys):
+    graph = build_family(FAMILY_CASES[family][0](**sizes))
+    dist = all_pairs_distances(graph)
+    argv = family_argv(family, sizes)
+    assert main(["det"] + argv) == 0
+    assert capsys.readouterr().out.endswith(", match=true\n")
+    code = main(["inv"] + argv)
+    captured = capsys.readouterr()
+    if (family, sizes) in SINGULAR:
+        assert code == 2
+        assert captured.err.startswith("singular: ")
+    else:
+        assert code == 0
+        assert dist * parse_csv(captured.out) == imat(graph.vertex_count)
+    for kind, expected in (("dist", dist), ("lap", laplacian(graph))):
+        assert main(["gen", "--kind", kind] + argv) == 0
+        assert parse_csv(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("family,flag", [
+    (family, flag) for family, (_, _, minimums) in FAMILY_CASES.items() for flag in minimums
+])
+def test_size_flag_below_minimum_or_missing(family, flag, capsys):
+    _, runs, minimums = FAMILY_CASES[family]
+    below = dict(runs[0], **{flag: minimums[flag] - 1})
+    missing = {k: v for k, v in runs[0].items() if k != flag}
+    for command in ("det", "inv", "gen"):
+        assert main([command] + family_argv(family, below)) == 1
+        assert capsys.readouterr().err == f"usage error: --{flag} must be at least {minimums[flag]}\n"
+        assert main([command] + family_argv(family, missing)) == 1
+        assert capsys.readouterr().err == f"usage error: --{flag} is required for this family\n"
