@@ -9,15 +9,15 @@ characteristic polynomials).
 """
 
 from .closed_form import (
-    FormulaResult,
     MatrixKind,
     SingularFamilyError,
     StructuredBlockForm,
-    TnFormulas,
+    kmn_det,
     kmn_distance,
-    kmn_formulas,
+    kmn_inverse,
+    tn_det,
     tn_distance,
-    tn_formulas,
+    tn_inverse,
     tn_laplacian,
     tn_rmat,
     tnb_det,

@@ -108,13 +108,6 @@ class _Family:
     gen: dict = field(default_factory=dict)
 
 
-def _kmn_inverse(m: int, n: int) -> RationalMatrix:
-    result = cf.kmn_formulas(m, n)
-    if result.singular:
-        raise cf.SingularFamilyError(result.reason)
-    return result.inverse
-
-
 def _book(kind: cf.MatrixKind) -> Callable:
     return lambda s: cf.tnb_structured(kind, s.n, s.b).materialize()
 
@@ -122,8 +115,8 @@ def _book(kind: cf.MatrixKind) -> Callable:
 FAMILIES = {
     "tn": _Family(
         {"n": 3}, gr.TnSingle,
-        det=lambda g: cf.tn_formulas(g.family.n).det,
-        inverse=lambda s: cf.tn_formulas(s.n).inverse,
+        det=lambda g: cf.tn_det(g.family.n),
+        inverse=lambda s: cf.tn_inverse(s.n),
         gen={"dist": lambda s: cf.tn_distance(s.n), "lap": lambda s: cf.tn_laplacian(s.n),
              "rmat": lambda s: cf.tn_rmat(s.n)},
     ),
@@ -136,13 +129,13 @@ FAMILIES = {
     ),
     "kmn": _Family(
         {"m": 1, "n": 1}, gr.CompleteBipartite,
-        det=lambda g: cf.kmn_formulas(g.family.m, g.family.n).det,
-        inverse=lambda s: _kmn_inverse(s.m, s.n),
+        det=lambda g: cf.kmn_det(g.family.m, g.family.n),
+        inverse=lambda s: cf.kmn_inverse(s.m, s.n),
     ),
     "star": _Family(
         {"n": 1}, gr.Star,
-        det=lambda g: cf.kmn_formulas(g.family.n, 1).det,
-        inverse=lambda s: _kmn_inverse(s.n, 1),
+        det=lambda g: cf.kmn_det(g.family.n, 1),
+        inverse=lambda s: cf.kmn_inverse(s.n, 1),
     ),
     "tree": _Family(
         {"n": 2, "seed": None}, lambda n, seed: gr.Tree(random_tree_edges(n, Lcg(seed))),
@@ -250,8 +243,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
-    if args.part is None:
-        raise UsageError("--part is required")
+    for flag in ("part", "n", "b"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"--{flag} is required")
     n = _require(args.n, "n", 3)
     b = _require(args.b, "b", 2)
     try:

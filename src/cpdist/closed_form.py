@@ -1,6 +1,9 @@
 """Closed-form determinants and inverses for the supported graph families.
 
-Every formula here has an independent brute-force counterpart in
+Each family has the same two functions: ``<family>_det`` returns the
+determinant as a ``Fraction`` and ``<family>_inverse`` returns the inverse
+as a ``RationalMatrix``, raising ``SingularFamilyError`` where the family is
+singular.  Every formula here has an independent brute-force counterpart in
 ``cpdist.linalg``; the test suites compare the two exactly.  Block displays
 are assembled from the dedicated constructors ``imat``/``jmat``/``ones_col``/
 ``swap2`` so each builder can be audited line by line against the matrix it
@@ -18,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
 
 from .graphs import Graph, is_tree, laplacian
 from .linalg import (
@@ -40,27 +42,6 @@ class MatrixKind(Enum):
     LAPLACIAN = "laplacian"
     RMAT = "rmat"
     XMAT = "xmat"
-
-
-@dataclass(frozen=True)
-class FormulaResult:
-    det: Fraction
-    inverse: Optional[RationalMatrix]
-    singular: bool = False
-    reason: Optional[str] = None
-
-    def __post_init__(self):
-        if self.singular != (self.inverse is None):
-            raise ValueError("inverse must be present exactly when nonsingular")
-
-
-@dataclass(frozen=True)
-class TnFormulas:
-    """Determinant, inverse and correction matrix of one triangle fan."""
-
-    det: Fraction
-    inverse: RationalMatrix
-    rmat: RationalMatrix
 
 
 @dataclass(frozen=True)
@@ -117,6 +98,11 @@ def _require_book(n: int, b: int) -> None:
         raise ValueError("book family requires b >= 2 (a single block is the plain fan)")
 
 
+def _require_parts(m: int, n: int) -> None:
+    if m < 1 or n < 1:
+        raise ValueError("parts must be nonempty")
+
+
 def tn_distance(n: int) -> RationalMatrix:
     """Distance matrix of the triangle fan in its canonical block form."""
     _require_tn(n)
@@ -144,47 +130,54 @@ def tn_rmat(n: int) -> RationalMatrix:
     ])
 
 
-def tn_formulas(n: int) -> TnFormulas:
-    """Closed forms for the triangle fan: det = (-1)^(n-1) * 2^(n-2) and the
-    four-block inverse with A_2 - (n-2)/2 * J_2 in the leading corner."""
+def tn_det(n: int) -> Fraction:
+    """Determinant of the triangle fan: (-1)^(n-1) * 2^(n-2)."""
     _require_tn(n)
-    det = Fraction((-1) ** (n - 1) * 2 ** (n - 2))
-    inverse = RationalMatrix.block([
+    return Fraction((-1) ** (n - 1) * 2 ** (n - 2))
+
+
+def tn_inverse(n: int) -> RationalMatrix:
+    """Four-block inverse of the triangle fan, with A_2 - (n-2)/2 * J_2 in the
+    leading corner.  The fan is never singular."""
+    _require_tn(n)
+    return RationalMatrix.block([
         [swap2() - Fraction(n - 2, 2) * jmat(2, 2), jmat(2, n - 2) / 2],
         [jmat(n - 2, 2) / 2, -imat(n - 2) / 2],
     ])
-    return TnFormulas(det, inverse, tn_rmat(n))
 
 
 def kmn_distance(m: int, n: int) -> RationalMatrix:
     """Distance matrix of K_{m,n}: 2(J-I) within parts, ones across."""
-    if m < 1 or n < 1:
-        raise ValueError("parts must be nonempty")
+    _require_parts(m, n)
     return RationalMatrix.block([
         [2 * (jmat(m, m) - imat(m)), jmat(m, n)],
         [jmat(n, m), 2 * (jmat(n, n) - imat(n))],
     ])
 
 
-def kmn_formulas(m: int, n: int) -> FormulaResult:
-    """Determinant and inverse of the complete bipartite distance matrix.
+def kmn_det(m: int, n: int) -> Fraction:
+    """Determinant of the complete bipartite distance matrix:
+    (-2)^(m+n-2) * (4(m-1)(n-1) - mn), zero exactly at (2, 2)."""
+    _require_parts(m, n)
+    return Fraction((-2) ** (m + n - 2) * (4 * (m - 1) * (n - 1) - m * n))
 
-    det = (-2)^(m+n-2) * (4(m-1)(n-1) - mn), zero exactly at (2, 2).  With
-    q = 3mn - 4(m+n-1) the inverse is, for every nonsingular (m, n), stars
-    and the single edge included,
+
+def kmn_inverse(m: int, n: int) -> RationalMatrix:
+    """Inverse of the complete bipartite distance matrix.  With
+    q = 3mn - 4(m+n-1) it is, for every nonsingular (m, n), stars and the
+    single edge included,
 
         [ (3n-4)/(2q) J_m - I_m/2    -J_{m,n}/q               ]
         [ -J_{n,m}/q                 (3m-4)/(2q) J_n - I_n/2  ]
 
-    q vanishes only at (2, 2): 3q + 4 = (3m-4)(3n-4), and the only way to
-    write 4 as such a product with m, n >= 1 is 2 * 2.  The product
-    D * D^-1 = I is checked before returning.
+    q vanishes only at (2, 2), where ``SingularFamilyError`` is raised:
+    3q + 4 = (3m-4)(3n-4), and the only way to write 4 as such a product
+    with m, n >= 1 is 2 * 2.  The product D * D^-1 = I is checked before
+    returning.
     """
-    if m < 1 or n < 1:
-        raise ValueError("parts must be nonempty")
-    det = Fraction((-2) ** (m + n - 2) * (4 * (m - 1) * (n - 1) - m * n))
+    _require_parts(m, n)
     if (m, n) == (2, 2):
-        return FormulaResult(det, None, singular=True, reason="singular at m=n=2")
+        raise SingularFamilyError("singular at m=n=2")
     q = 3 * m * n - 4 * (m + n - 1)
     inverse = RationalMatrix.block([
         [Fraction(3 * n - 4, 2 * q) * jmat(m, m) - imat(m) / 2, -jmat(m, n) / q],
@@ -193,7 +186,7 @@ def kmn_formulas(m: int, n: int) -> FormulaResult:
     product = kmn_distance(m, n) * inverse
     if product != imat(m + n):
         raise ArithmeticError(f"bipartite inverse failed the product check at ({m}, {n})")
-    return FormulaResult(det, inverse)
+    return inverse
 
 
 def tree_det(tree: Graph) -> Fraction:
@@ -225,64 +218,54 @@ def tnb_det(n: int, b: int) -> Fraction:
 
 def tnb_structured(kind: MatrixKind, n: int, b: int) -> StructuredBlockForm:
     """Block description of the book family's distance, Laplacian or
-    correction matrix, with separate n = 3 and n >= 4 branches."""
+    correction matrix.
+
+    Each block splits into the two base vertices and the n - 3 other
+    non-hub vertices of a fan.  One display serves every n >= 3: at n = 3
+    the (n-3)-sized blocks are empty and ``RationalMatrix.block`` drops
+    them, leaving the base blocks alone."""
     _require_book(n, b)
     if kind is MatrixKind.DISTANCE:
-        if n == 3:
-            d1 = swap2()
-            d2 = 2 * jmat(2, 2)
-            d3 = ones_col(2)
-        else:
-            d1 = RationalMatrix.block([
-                [swap2(), jmat(2, n - 3)],
-                [jmat(n - 3, 2), 2 * (jmat(n - 3, n - 3) - imat(n - 3))],
-            ])
-            d2 = RationalMatrix.block([
-                [2 * jmat(2, 2), 3 * jmat(2, n - 3)],
-                [3 * jmat(n - 3, 2), 4 * jmat(n - 3, n - 3)],
-            ])
-            d3 = RationalMatrix.block([[ones_col(2)], [2 * ones_col(n - 3)]])
+        d1 = RationalMatrix.block([
+            [swap2(), jmat(2, n - 3)],
+            [jmat(n - 3, 2), 2 * (jmat(n - 3, n - 3) - imat(n - 3))],
+        ])
+        d2 = RationalMatrix.block([
+            [2 * jmat(2, 2), 3 * jmat(2, n - 3)],
+            [3 * jmat(n - 3, 2), 4 * jmat(n - 3, n - 3)],
+        ])
+        d3 = RationalMatrix.block([[ones_col(2)], [2 * ones_col(n - 3)]])
         return StructuredBlockForm(kind, n, b, d1, d2, d3, Fraction(0))
 
     if kind is MatrixKind.LAPLACIAN:
-        if n == 3:
-            l1 = 2 * imat(2) - swap2()
-            l2 = -ones_col(2)
-        else:
-            l1 = RationalMatrix.block([
-                [(n - 1) * imat(2) - swap2(), -jmat(2, n - 3)],
-                [-jmat(n - 3, 2), 2 * imat(n - 3)],
-            ])
-            l2 = RationalMatrix.block([[-ones_col(2)], [zmat(n - 3, 1)]])
+        l1 = RationalMatrix.block([
+            [(n - 1) * imat(2) - swap2(), -jmat(2, n - 3)],
+            [-jmat(n - 3, 2), 2 * imat(n - 3)],
+        ])
+        l2 = RationalMatrix.block([[-ones_col(2)], [zmat(n - 3, 1)]])
         return StructuredBlockForm(kind, n, b, l1, zmat(n - 1, n - 1), l2, Fraction(2 * b))
 
     if kind is MatrixKind.RMAT:
-        if n == 3:
-            r1 = -2 * (b - 1) * imat(2) + (b + 2) * swap2()
-            r2 = 2 * jmat(2, 2)
-            r3 = 3 * b * ones_col(2)
-            corner = Fraction(-6 * (b - 1) ** 2)
-        else:
-            r1 = RationalMatrix.block([
-                [
-                    (n - 5) * (n - 2) * (b - 1) * imat(2)
-                    + (n - 2) * (b - (n - 5)) * swap2(),
-                    -((n - 4) * b - 2) * jmat(2, n - 3),
-                ],
-                [
-                    -((n - 4) * b - 2) * jmat(n - 3, 2),
-                    b * (n - 6) * imat(n - 3) + (b - (n - 5)) * jmat(n - 3, n - 3),
-                ],
-            ])
-            r2 = RationalMatrix.block([
-                [-(n - 5) * (n - 2) * jmat(2, 2), 2 * jmat(2, n - 3)],
-                [2 * jmat(n - 3, 2), -(n - 5) * jmat(n - 3, n - 3)],
-            ])
-            r3 = RationalMatrix.block([
-                [(n - 6) * ((n - 4) * b - (n - 3)) * ones_col(2)],
-                [-b * (n - 6) * ones_col(n - 3)],
-            ])
-            corner = Fraction(-(n - 5) * (n - 6) * (b - 1) ** 2)
+        r1 = RationalMatrix.block([
+            [
+                (n - 5) * (n - 2) * (b - 1) * imat(2)
+                + (n - 2) * (b - (n - 5)) * swap2(),
+                -((n - 4) * b - 2) * jmat(2, n - 3),
+            ],
+            [
+                -((n - 4) * b - 2) * jmat(n - 3, 2),
+                b * (n - 6) * imat(n - 3) + (b - (n - 5)) * jmat(n - 3, n - 3),
+            ],
+        ])
+        r2 = RationalMatrix.block([
+            [-(n - 5) * (n - 2) * jmat(2, 2), 2 * jmat(2, n - 3)],
+            [2 * jmat(n - 3, 2), -(n - 5) * jmat(n - 3, n - 3)],
+        ])
+        r3 = RationalMatrix.block([
+            [(n - 6) * ((n - 4) * b - (n - 3)) * ones_col(2)],
+            [-b * (n - 6) * ones_col(n - 3)],
+        ])
+        corner = Fraction(-(n - 5) * (n - 6) * (b - 1) ** 2)
         return StructuredBlockForm(kind, n, b, r1, r2, r3, corner)
 
     raise ValueError(f"no structured builder for kind {kind!r}")
@@ -327,16 +310,11 @@ def _tnb_inverse_blocks(n: int, b: int) -> StructuredBlockForm:
 def tnb_xblocks(n: int, b: int) -> StructuredBlockForm:
     """The inverse's block description written out directly (the X displays),
     rather than combined from L, J and R.  Materializes to the same matrix as
-    ``tnb_inverse``; the suites assert that equality."""
+    ``tnb_inverse``; the suites assert that equality.  As in
+    ``tnb_structured``, n = 3 needs no branch of its own."""
     _require_book(n, b)
     if n == 6:
         raise SingularFamilyError("distance matrix singular (n=6, b>=2)")
-    if n == 3:
-        x1 = -(Fraction(1, 6 * b)) * ((4 * b - 1) * jmat(2, 2) - 6 * b * swap2())
-        x2 = jmat(2, 2) / (6 * b)
-        x3 = ones_col(2) / (2 * b)
-        corner = Fraction(3 - 4 * b, 2 * b)
-        return StructuredBlockForm(MatrixKind.XMAT, n, b, x1, x2, x3, corner)
     scale = Fraction(1, 2 * b * (n - 6))
     x1 = scale * RationalMatrix.block([
         [

@@ -461,16 +461,15 @@ def _lemmas_cells(seed: int = DEFAULT_SEED):
 def _dets_cells(seed: int = DEFAULT_SEED):
     def tn_det(n: int):
         dist = gr.all_pairs_distances(gr.build_family(gr.TnSingle(n)))
-        _expect_equal(det_exact(dist), cf.tn_formulas(n).det, f"tn det n={n}")
+        _expect_equal(det_exact(dist), cf.tn_det(n), f"tn det n={n}")
 
     cells = [_cell("tn-det", tn_det, n=n) for n in range(3, 13)]
 
     def kmn_det(m: int, n: int):
         dist = gr.all_pairs_distances(gr.build_family(gr.CompleteBipartite(m, n)))
-        result = cf.kmn_formulas(m, n)
-        oracle = det_exact(dist)
-        _expect_equal(oracle, result.det, f"kmn det ({m},{n})")
-        _expect_equal((m, n) == (2, 2), result.det == 0, f"kmn singularity ({m},{n})")
+        value = cf.kmn_det(m, n)
+        _expect_equal(det_exact(dist), value, f"kmn det ({m},{n})")
+        _expect_equal((m, n) == (2, 2), value == 0, f"kmn singularity ({m},{n})")
 
     cells += [_cell("kmn-det", kmn_det, m=m, n=n) for m in range(1, 9) for n in range(1, 9)]
 
@@ -501,23 +500,25 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
     def tn_inverse(n: int):
         g = gr.build_family(gr.TnSingle(n))
         dist = gr.all_pairs_distances(g)
-        formulas = cf.tn_formulas(n)
-        _expect_equal(imat(n), dist * formulas.inverse, f"tn inverse product n={n}")
-        _expect_equal(inverse_exact(dist), formulas.inverse, f"tn inverse oracle n={n}")
-        combined = -gr.laplacian(g) / 2 + jmat(n, n) / 2 + formulas.rmat / 2
-        _expect_equal(combined, formulas.inverse, f"tn inverse identity n={n}")
-        recovered = 2 * formulas.inverse + gr.laplacian(g) - jmat(n, n)
-        _expect_equal(formulas.rmat, recovered, f"tn correction identity n={n}")
+        inverse, rmat = cf.tn_inverse(n), cf.tn_rmat(n)
+        _expect_equal(imat(n), dist * inverse, f"tn inverse product n={n}")
+        _expect_equal(inverse_exact(dist), inverse, f"tn inverse oracle n={n}")
+        combined = -gr.laplacian(g) / 2 + jmat(n, n) / 2 + rmat / 2
+        _expect_equal(combined, inverse, f"tn inverse identity n={n}")
+        recovered = 2 * inverse + gr.laplacian(g) - jmat(n, n)
+        _expect_equal(rmat, recovered, f"tn correction identity n={n}")
 
     cells = [_cell("tn-inverse", tn_inverse, n=n) for n in range(3, 13)]
 
     def kmn_inverse(m: int, n: int):
-        result = cf.kmn_formulas(m, n)
         if (m, n) == (2, 2):
-            _expect(result.singular, "singular", "nonsingular", "kmn (2,2) must be singular")
-            return
+            try:
+                cf.kmn_inverse(m, n)
+            except cf.SingularFamilyError:
+                return
+            raise CellFailure("singular", "nonsingular", "kmn (2,2) must be singular")
         dist = gr.all_pairs_distances(gr.build_family(gr.CompleteBipartite(m, n)))
-        _expect_equal(imat(m + n), dist * result.inverse, f"kmn inverse product ({m},{n})")
+        _expect_equal(imat(m + n), dist * cf.kmn_inverse(m, n), f"kmn inverse product ({m},{n})")
 
     cells += [_cell("kmn-inverse", kmn_inverse, m=m, n=n) for m in range(1, 9) for n in range(1, 9)]
 

@@ -7,11 +7,17 @@ All equality checks are exact; there are no tolerances anywhere.
 import time
 from fractions import Fraction
 
+import pytest
+
 from cpdist.closed_form import (
     MatrixKind,
+    SingularFamilyError,
+    kmn_det,
     kmn_distance,
-    kmn_formulas,
-    tn_formulas,
+    kmn_inverse,
+    tn_det,
+    tn_inverse,
+    tn_rmat,
     tnb_det,
     tnb_inverse,
     tnb_structured,
@@ -77,8 +83,8 @@ def test_criterion_01_single_block_determinant():
     with _Criterion(1, "single-block determinant vs Bareiss oracle", 1.0):
         for n in range(3, 13):
             d = all_pairs_distances(build_family(TnSingle(n)))
-            assert tn_formulas(n).det == Fraction((-1) ** (n - 1) * 2 ** (n - 2))
-            assert tn_formulas(n).det == det_exact(d)
+            assert tn_det(n) == Fraction((-1) ** (n - 1) * 2 ** (n - 2))
+            assert tn_det(n) == det_exact(d)
 
 
 def test_criterion_02_single_block_inverse():
@@ -86,22 +92,25 @@ def test_criterion_02_single_block_inverse():
         for n in range(3, 13):
             g = build_family(TnSingle(n))
             d = all_pairs_distances(g)
-            formulas = tn_formulas(n)
-            assert d * formulas.inverse == imat(n)
-            combined = -laplacian(g) / 2 + jmat(n, n) / 2 + formulas.rmat / 2
-            assert combined == formulas.inverse
+            inverse = tn_inverse(n)
+            assert d * inverse == imat(n)
+            combined = -laplacian(g) / 2 + jmat(n, n) / 2 + tn_rmat(n) / 2
+            assert combined == inverse
 
 
 def test_criterion_03_bipartite_grid():
     with _Criterion(3, "complete bipartite grid 1..8 x 1..8", 5.0):
         for m in range(1, 9):
             for n in range(1, 9):
-                result = kmn_formulas(m, n)
+                det = kmn_det(m, n)
                 d = kmn_distance(m, n)
-                assert result.det == det_exact(d)
-                assert (result.det == 0) == ((m, n) == (2, 2))
-                if not result.singular:
-                    assert d * result.inverse == imat(m + n)
+                assert det == det_exact(d)
+                assert (det == 0) == ((m, n) == (2, 2))
+                if det == 0:
+                    with pytest.raises(SingularFamilyError):
+                        kmn_inverse(m, n)
+                else:
+                    assert d * kmn_inverse(m, n) == imat(m + n)
 
 
 def test_criterion_04_book_determinant_grid():

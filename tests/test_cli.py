@@ -210,6 +210,11 @@ class TestSpectrum:
         assert payload["match"] is True
         assert payload["claimed_char_poly"] == payload["computed_char_poly"]
 
+    @pytest.mark.parametrize("sizes,flag", [(["--b", "2"], "n"), (["--n", "5"], "b")])
+    def test_missing_size_flag(self, sizes, flag, capsys):
+        assert main(["spectrum", "--part", "NC"] + sizes) == 1
+        assert capsys.readouterr().err == f"usage error: --{flag} is required\n"
+
     def test_empty_part_is_usage_error(self, capsys):
         assert main(["spectrum", "--part", "N", "--n", "3", "--b", "2"]) == 1
         assert "n >= 4" in capsys.readouterr().err
@@ -289,7 +294,10 @@ FAMILY_CASES = {
     ),
     "k4": (K4, [{}], {}),
 }
-SINGULAR = [("kmn", {"m": 2, "n": 2}), ("tn-book", {"n": 6, "b": 2})]
+SINGULAR = [
+    ("kmn", {"m": 2, "n": 2}, "singular: singular at m=n=2\n"),
+    ("tn-book", {"n": 6, "b": 2}, "singular: distance matrix singular (n=6, b>=2)\n"),
+]
 
 
 def family_argv(family, sizes):
@@ -311,15 +319,29 @@ def test_family_through_cli(family, sizes, capsys):
     assert capsys.readouterr().out.endswith(", match=true\n")
     code = main(["inv"] + argv)
     captured = capsys.readouterr()
-    if (family, sizes) in SINGULAR:
+    singular = next((err for f, s, err in SINGULAR if (f, s) == (family, sizes)), None)
+    if singular is not None:
         assert code == 2
-        assert captured.err.startswith("singular: ")
+        assert captured.err == singular
     else:
         assert code == 0
         assert dist * parse_csv(captured.out) == imat(graph.vertex_count)
     for kind, expected in (("dist", dist), ("lap", laplacian(graph))):
         assert main(["gen", "--kind", kind] + argv) == 0
         assert parse_csv(capsys.readouterr().out) == expected
+
+
+@pytest.mark.parametrize("family,sizes", [
+    ("kmn", {"m": 3, "n": 2}), ("star", {"n": 4}), ("tn", {"n": 5}),
+])
+def test_det_builds_no_inverse(family, sizes, capsys, monkeypatch):
+    def no_inverse(*args):
+        raise AssertionError("det built an inverse")
+
+    monkeypatch.setattr(cf, "kmn_inverse", no_inverse)
+    monkeypatch.setattr(cf, "tn_inverse", no_inverse)
+    assert main(["det"] + family_argv(family, sizes)) == 0
+    assert capsys.readouterr().out.endswith(", match=true\n")
 
 
 @pytest.mark.parametrize("family,flag", [

@@ -1,16 +1,21 @@
 """Closed-form determinants and inverses against the brute-force oracles."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
 
+import cpdist
+import cpdist.closed_form as cf
 from cpdist.closed_form import (
     MatrixKind,
     SingularFamilyError,
+    kmn_det,
     kmn_distance,
-    kmn_formulas,
+    kmn_inverse,
+    tn_det,
     tn_distance,
-    tn_formulas,
+    tn_inverse,
     tn_laplacian,
     tn_rmat,
     tnb_det,
@@ -41,6 +46,15 @@ from cpdist.linalg import (
     zmat,
 )
 from cpdist.rng import Lcg, random_tree_edges
+
+
+def test_public_closed_forms_are_exported():
+    public = {
+        name for name, obj in vars(cf).items()
+        if not name.startswith("_") and (inspect.isfunction(obj) or inspect.isclass(obj))
+        and obj.__module__ == cf.__name__
+    }
+    assert public - set(vars(cpdist)) == set()
 
 
 class TestTreeFormulas:
@@ -80,26 +94,26 @@ class TestTreeFormulas:
 
 class TestFanFormulas:
     def test_det_small(self):
-        assert tn_formulas(3).det == 2
-        assert tn_formulas(5).det == 8
+        assert tn_det(3) == 2
+        assert tn_det(5) == 8
 
     def test_inverse_top_left_block(self):
-        inverse = tn_formulas(5).inverse
+        inverse = tn_inverse(5)
         expected = swap2() - Fraction(3, 2) * jmat(2, 2)
         assert inverse.submatrix([0, 1]) == expected
 
     def test_oracle_equivalence_n7(self):
         d = all_pairs_distances(build_family(TnSingle(7)))
-        assert tn_formulas(7).inverse == inverse_exact(d)
+        assert tn_inverse(7) == inverse_exact(d)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_laplacian_identity(self, n):
         g = build_family(TnSingle(n))
-        formulas = tn_formulas(n)
-        combined = -laplacian(g) / 2 + jmat(n, n) / 2 + formulas.rmat / 2
-        assert combined == formulas.inverse
+        inverse, rmat = tn_inverse(n), tn_rmat(n)
+        combined = -laplacian(g) / 2 + jmat(n, n) / 2 + rmat / 2
+        assert combined == inverse
         # rearranged: the correction matrix is recoverable from the inverse
-        assert 2 * formulas.inverse + laplacian(g) - jmat(n, n) == formulas.rmat
+        assert 2 * inverse + laplacian(g) - jmat(n, n) == rmat
 
     def test_block_forms_match_graphs(self):
         for n in range(3, 9):
@@ -109,43 +123,42 @@ class TestFanFormulas:
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
-            tn_formulas(2)
+            tn_det(2)
+        with pytest.raises(ValueError):
+            tn_inverse(2)
 
 
 class TestBipartiteFormulas:
     def test_singular_cell(self):
-        result = kmn_formulas(2, 2)
-        assert result.det == 0
-        assert result.singular
-        assert result.inverse is None
+        assert kmn_det(2, 2) == 0
+        with pytest.raises(SingularFamilyError, match="^singular at m=n=2$"):
+            kmn_inverse(2, 2)
 
     def test_det_2_3(self):
-        result = kmn_formulas(2, 3)
-        assert result.det == -16
+        assert kmn_det(2, 3) == -16
         d = all_pairs_distances(build_family(CompleteBipartite(2, 3)))
         assert det_exact(d) == -16
 
     def test_star_blocks_3_1(self):
-        inverse = kmn_formulas(3, 1).inverse
+        inverse = kmn_inverse(3, 1)
         assert inverse.submatrix([0, 1, 2]) == jmat(3, 3) / 6 - imat(3) / 2
         assert inverse.data[3][3] == Fraction(-4, 3)
 
     def test_single_edge(self):
-        assert kmn_formulas(1, 1).inverse == swap2()
+        assert kmn_inverse(1, 1) == swap2()
 
     def test_hub_first_orientation(self):
         # K_{1,n} keeps part-1 (the hub) first; compare with the oracle
         d = all_pairs_distances(build_family(CompleteBipartite(1, 4)))
-        assert kmn_formulas(1, 4).inverse == inverse_exact(d)
+        assert kmn_inverse(1, 4) == inverse_exact(d)
 
     @pytest.mark.parametrize("m", range(1, 7))
     @pytest.mark.parametrize("n", range(1, 7))
     def test_grid_products(self, m, n):
-        result = kmn_formulas(m, n)
         d = kmn_distance(m, n)
-        assert result.det == det_exact(d)
+        assert kmn_det(m, n) == det_exact(d)
         if (m, n) != (2, 2):
-            assert d * result.inverse == imat(m + n)
+            assert d * kmn_inverse(m, n) == imat(m + n)
 
 
 class TestBookDeterminant:
@@ -183,19 +196,32 @@ class TestBookStructuredForms:
         ])
         assert form.border_col == RationalMatrix.from_rows([[1], [1], [2]])
         assert form.corner == 0
-
-    def test_correction_blocks_n3(self):
-        form = tnb_structured(MatrixKind.RMAT, 3, 2)
-        assert form.diag_block == -2 * imat(2) + 4 * swap2()
+        # n = 3 keeps only the base blocks of the same display
+        form = tnb_structured(MatrixKind.DISTANCE, 3, 2)
+        assert form.diag_block == swap2()
         assert form.offdiag_block == 2 * jmat(2, 2)
-        assert form.border_col == 6 * ones_col(2)
-        assert form.corner == -6
+        assert form.border_col == ones_col(2)
+        assert form.corner == 0
+
+    @pytest.mark.parametrize("b", range(2, 6))
+    def test_correction_blocks_n3(self, b):
+        form = tnb_structured(MatrixKind.RMAT, 3, b)
+        assert form.diag_block == -2 * (b - 1) * imat(2) + (b + 2) * swap2()
+        assert form.offdiag_block == 2 * jmat(2, 2)
+        assert form.border_col == 3 * b * ones_col(2)
+        assert form.corner == -6 * (b - 1) ** 2
 
     def test_laplacian_blocks_n5_b3(self):
         form = tnb_structured(MatrixKind.LAPLACIAN, 5, 3)
         assert form.corner == 6
         assert form.border_col == RationalMatrix.from_rows([[-1], [-1], [0], [0]])
         assert form.offdiag_block == zmat(4, 4)
+        for b in range(2, 6):
+            form = tnb_structured(MatrixKind.LAPLACIAN, 3, b)
+            assert form.diag_block == 2 * imat(2) - swap2()
+            assert form.offdiag_block == zmat(2, 2)
+            assert form.border_col == -ones_col(2)
+            assert form.corner == 2 * b
 
     def test_materialization_is_symmetric(self):
         for kind in (MatrixKind.DISTANCE, MatrixKind.LAPLACIAN, MatrixKind.RMAT):
@@ -230,6 +256,14 @@ class TestBookInverse:
         assert blocks.border_col == ones_col(2) / 4
         assert blocks.corner == Fraction(-5, 4)
         assert tnb_xblocks(5, 2).corner == Fraction(-7, 4)
+        for b in range(2, 6):
+            blocks = tnb_xblocks(3, b)
+            assert blocks.diag_block == -Fraction(1, 6 * b) * (
+                (4 * b - 1) * jmat(2, 2) - 6 * b * swap2()
+            )
+            assert blocks.offdiag_block == jmat(2, 2) / (6 * b)
+            assert blocks.border_col == ones_col(2) / (2 * b)
+            assert blocks.corner == Fraction(3 - 4 * b, 2 * b)
 
     @pytest.mark.parametrize("n,b", [(3, 2), (4, 2), (5, 3), (7, 2), (9, 2)])
     def test_xblocks_materialize_to_inverse(self, n, b):

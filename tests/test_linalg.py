@@ -448,3 +448,10 @@ def test_block_assembly_and_submatrix():
     assert m.data[2] == [0, 0, 3]
     assert m.submatrix([0, 2]) == RationalMatrix.from_rows([[1, 1], [0, 3]])
     assert m.transpose().data[2] == [1, 1, 3]
+    # empty blocks (2x0, 0x2, 0x0) contribute nothing: the book displays
+    # rely on this at n = 3, where their (n-3)-sized blocks vanish
+    assert RationalMatrix.block([
+        [imat(2), jmat(2, 0)],
+        [jmat(0, 2), imat(0)],
+    ]) == imat(2)
+    assert RationalMatrix.block([[ones_col(2)], [zmat(0, 1)]]) == ones_col(2)
