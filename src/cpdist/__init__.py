@@ -4,8 +4,8 @@ The package builds the supported graph families (triangle fans, fan books
 glued at a hub, complete bipartite graphs, trees, K4), evaluates their
 closed-form distance determinants and inverses over exact rational
 arithmetic, and verifies every formula against independent brute-force
-oracles (Bareiss determinants, Gauss-Jordan inverses, Faddeev-LeVerrier
-characteristic polynomials).
+oracles (Bareiss determinants, Gauss-Jordan inverses, characteristic
+polynomials by Hessenberg reduction and the Hessenberg recurrence).
 """
 
 from .closed_form import (
@@ -22,6 +22,7 @@ from .closed_form import (
     tn_rmat,
     tnb_det,
     tnb_inverse,
+    tnb_product_identities,
     tnb_structured,
     tnb_xblocks,
     tree_det,
@@ -51,7 +52,6 @@ from .graphs import (
 from .linalg import (
     AibjAnalysis,
     CharPoly,
-    Rational,
     RationalMatrix,
     SingularMatrixError,
     SpectrumClaim,

@@ -162,7 +162,18 @@ def _spec(family: _Family, args) -> gr.FamilySpec:
 
 
 def _matrix_csv(m: RationalMatrix) -> str:
-    return "\n".join(",".join(rational_str(e) for e in row) for row in m.data) + "\n"
+    # Block replication shares entry objects along a row (a book inverse row
+    # of order 3501 holds a handful), so a row with repeated objects formats
+    # each distinct one once and looks it up by identity.
+    lines = []
+    for row in m.data:
+        distinct = dict(zip(map(id, row), row))
+        if len(distinct) == len(row):
+            lines.append(",".join(map(rational_str, row)))
+        else:
+            text = {key: rational_str(e) for key, e in distinct.items()}
+            lines.append(",".join(map(text.__getitem__, map(id, row))))
+    return "\n".join(lines) + "\n"
 
 
 def _write_text(text: str, path) -> None:

@@ -146,13 +146,43 @@ def tn_inverse(n: int) -> RationalMatrix:
     ])
 
 
+# A K_{m,n}-shaped matrix [[a I_m + b J_m, c J_{m,n}], [c J_{n,m}, a' I_n + b' J_n]]
+# is given by its scalars (a, b, c, a', b').
+_KMN_DISTANCE = (-2, 2, 1, -2, 2)
+
+
+def _kmn_shaped(m: int, n: int, scalars: tuple) -> RationalMatrix:
+    a, b, c, a2, b2 = scalars
+    return RationalMatrix.block([
+        [a * imat(m) + b * jmat(m, m), c * jmat(m, n)],
+        [c * jmat(n, m), a2 * imat(n) + b2 * jmat(n, n)],
+    ])
+
+
+def _kmn_product_is_identity(m: int, n: int, left: tuple, right: tuple) -> bool:
+    """Whether the product of two K_{m,n}-shaped matrices is I, from their
+    scalars alone by the (aI + bJ) block algebra: on order k,
+    (aI + bJ)(a'I + b'J) = aa' I + (ab' + ba' + k bb') J; J_{m,n} J_{n,m} = n J_m;
+    and (aI_m + bJ_m) J_{m,n} = (a + mb) J_{m,n}.  aI_k + bJ_k is I_k exactly
+    when a + b = 1 and, for k > 1, b = 0."""
+    a1, b1, c1, e1, f1 = left
+    a2, b2, c2, e2, f2 = right
+
+    def is_identity(a, b, k):
+        return a + b == 1 and (k == 1 or b == 0)
+
+    return (
+        is_identity(a1 * a2, a1 * b2 + b1 * a2 + m * b1 * b2 + n * c1 * c2, m)
+        and is_identity(e1 * e2, e1 * f2 + f1 * e2 + n * f1 * f2 + m * c1 * c2, n)
+        and c2 * (a1 + m * b1) + c1 * (e2 + n * f2) == 0
+        and c1 * (a2 + m * b2) + c2 * (e1 + n * f1) == 0
+    )
+
+
 def kmn_distance(m: int, n: int) -> RationalMatrix:
     """Distance matrix of K_{m,n}: 2(J-I) within parts, ones across."""
     _require_parts(m, n)
-    return RationalMatrix.block([
-        [2 * (jmat(m, m) - imat(m)), jmat(m, n)],
-        [jmat(n, m), 2 * (jmat(n, n) - imat(n))],
-    ])
+    return _kmn_shaped(m, n, _KMN_DISTANCE)
 
 
 def kmn_det(m: int, n: int) -> Fraction:
@@ -172,21 +202,18 @@ def kmn_inverse(m: int, n: int) -> RationalMatrix:
 
     q vanishes only at (2, 2), where ``SingularFamilyError`` is raised:
     3q + 4 = (3m-4)(3n-4), and the only way to write 4 as such a product
-    with m, n >= 1 is 2 * 2.  The product D * D^-1 = I is checked before
-    returning.
+    with m, n >= 1 is 2 * 2.  D * D^-1 = I is checked on the block scalars
+    before returning, at a cost independent of m and n.
     """
     _require_parts(m, n)
     if (m, n) == (2, 2):
         raise SingularFamilyError("singular at m=n=2")
     q = 3 * m * n - 4 * (m + n - 1)
-    inverse = RationalMatrix.block([
-        [Fraction(3 * n - 4, 2 * q) * jmat(m, m) - imat(m) / 2, -jmat(m, n) / q],
-        [-jmat(n, m) / q, Fraction(3 * m - 4, 2 * q) * jmat(n, n) - imat(n) / 2],
-    ])
-    product = kmn_distance(m, n) * inverse
-    if product != imat(m + n):
+    half = Fraction(-1, 2)
+    inverse = (half, Fraction(3 * n - 4, 2 * q), Fraction(-1, q), half, Fraction(3 * m - 4, 2 * q))
+    if not _kmn_product_is_identity(m, n, _KMN_DISTANCE, inverse):
         raise ArithmeticError(f"bipartite inverse failed the product check at ({m}, {n})")
-    return inverse
+    return _kmn_shaped(m, n, inverse)
 
 
 def tree_det(tree: Graph) -> Fraction:
@@ -271,24 +298,49 @@ def tnb_structured(kind: MatrixKind, n: int, b: int) -> StructuredBlockForm:
     raise ValueError(f"no structured builder for kind {kind!r}")
 
 
+def tnb_product_identities(x: StructuredBlockForm) -> list:
+    """The five block identities that D X = I comes to, for D the book
+    distance matrix and X a book-shaped form of the same (n, b), as
+    ``(label, expected, actual)`` triples.
+
+    With diagonal blocks D1/X1, off-diagonal blocks D2/X2, hub columns D3/X3,
+    X's corner x and D's corner 0, the blocks of D X are: diagonal
+    D1 X1 + (b-1) D2 X2 + D3 X3^T; off-diagonal D1 X2 + D2 X1 + (b-2) D2 X2 +
+    D3 X3^T; hub row D3^T X1 + (b-1) D3^T X2; hub column D1 X3 + (b-1) D2 X3 +
+    x D3; corner b D3^T X3.  Every product is of order n - 1, so the check
+    costs the same for every b."""
+    b, size = x.b, x.n - 1
+    d = tnb_structured(MatrixKind.DISTANCE, x.n, b)
+    d1, d2, d3 = d.diag_block, d.offdiag_block, d.border_col
+    x1, x2, x3 = x.diag_block, x.offdiag_block, x.border_col
+    d3t, x3t = d3.transpose(), x3.transpose()
+    d2x2 = d2 * x2
+    return [
+        ("diagonal block identity", imat(size), d1 * x1 + (b - 1) * d2x2 + d3 * x3t),
+        (
+            "off-diagonal block identity",
+            zmat(size, size),
+            d1 * x2 + d2 * x1 + (b - 2) * d2x2 + d3 * x3t,
+        ),
+        ("hub row identity", zmat(1, size), d3t * x1 + (b - 1) * (d3t * x2)),
+        ("hub column identity", zmat(size, 1), d1 * x3 + (b - 1) * (d2 * x3) + x.corner * d3),
+        ("hub corner identity", RationalMatrix.from_rows([[1]]), b * (d3t * x3)),
+    ]
+
+
 def tnb_inverse(n: int, b: int, verify_product: bool = True) -> RationalMatrix:
     """Inverse of the book-family distance matrix for n != 6:
     D^-1 = -L/2 + J/(2b) + R/(2(n-6)b), combined block by block and then
     replicated.
 
-    With ``verify_product`` the exact product D * X = I is checked before
-    returning (cubic in the order, fine at desk scale); the large-instance
-    benchmark disables it.
+    With ``verify_product`` D * X = I is checked before returning through
+    the five block identities of ``tnb_product_identities``, whose cost does
+    not depend on b.
     """
     blocks = _tnb_inverse_blocks(n, b)
-    x = blocks.materialize()
-    if verify_product:
-        d = tnb_structured(MatrixKind.DISTANCE, n, b).materialize()
-        if d * x != imat(blocks.order):
-            raise ArithmeticError(
-                f"book-family inverse failed the product check at ({n}, {b})"
-            )
-    return x
+    if verify_product and any(e != a for _, e, a in tnb_product_identities(blocks)):
+        raise ArithmeticError(f"book-family inverse failed the product check at ({n}, {b})")
+    return blocks.materialize()
 
 
 def _tnb_inverse_blocks(n: int, b: int) -> StructuredBlockForm:

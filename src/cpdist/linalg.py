@@ -7,8 +7,9 @@ by the LCM of its denominators, and the result is rescaled exactly once at
 the end.  Products are integer dot products with one ``Fraction`` built per
 output entry, determinants come from fraction-free Bareiss elimination,
 inverses from fraction-free Bareiss-style Gauss-Jordan with a single
-division by the last pivot, and characteristic polynomials from the
-Faddeev-LeVerrier recursion on the integer matrix.  These routines double as
+division by the last pivot, and characteristic polynomials from a reduction
+to upper Hessenberg form by similarity followed by the Hessenberg
+recurrence (both O(n^3)).  These routines double as
 the brute-force oracles for every closed-form formula in the package, so
 they are generic dense algorithms and share no shortcut with the closed
 forms they check.
@@ -18,11 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd, lcm, prod
 from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
-Rational = Fraction
 Entry = Union[int, Fraction]
 
 
@@ -78,15 +78,16 @@ class RationalMatrix:
             height = block_row[0].rows
             if any(b.rows != height for b in block_row):
                 raise ValueError("block row heights differ")
+            width = sum(b.cols for b in block_row)
+            if cols is None:
+                cols = width
+            elif width != cols:
+                raise ValueError("block column widths differ")
             for i in range(height):
                 row: list[Fraction] = []
                 for b in block_row:
                     row.extend(b.data[i])
                 data.append(row)
-            if cols is None:
-                cols = len(data[0])
-            elif len(data[-1]) != cols:
-                raise ValueError("block column widths differ")
         return cls(len(data), cols or 0, data)
 
     def __eq__(self, other: object) -> bool:
@@ -174,8 +175,8 @@ class RationalMatrix:
             left, row_scales = _clear_rows(self.data)
             right, col_scales = _clear_rows(zip(*other.data))
             data = [
-                [Fraction(s, l * c) for s, c in zip(sums, col_scales)]
-                for sums, l in zip(_int_mat_mul(left, right), row_scales)
+                [Fraction(sum(map(mul, row, col)), l * c) for col, c in zip(right, col_scales)]
+                for row, l in zip(left, row_scales)
             ]
             return RationalMatrix(self.rows, other.cols, data)
         return self._scale(other)
@@ -418,37 +419,107 @@ class CharPoly:
         return out
 
 
-def _int_mat_mul(a: list, cols: list) -> list:
-    """Integer product of ``a``, given by its rows, and a right factor
-    given by its columns."""
-    return [[sum(map(mul, row, col)) for col in cols] for row in a]
+def _primitive(row: list, den: int) -> tuple:
+    """``(row // g, den // g)`` for g = gcd(den, *row) signed like den, so the
+    returned denominator is positive and shares no factor with the row."""
+    g = gcd(den, *row)
+    if den < 0:
+        g = -g
+    return [x // g for x in row], den // g
+
+
+def _hessenberg(m: RationalMatrix) -> tuple:
+    """Upper Hessenberg form H of m by similarity, as ``(rows, dens)`` with
+    H[i][j] == rows[i][j] / dens[i] and every rows[i] an integer list.
+
+    Step k clears column k-1 below the subdiagonal.  The pivot is the first
+    nonzero entry at or below row k of that column, moved to row k by
+    swapping rows and columns together; a column with no pivot is already
+    reduced.  Each row i > k then becomes H_i - u_i H_k with
+    u_i = H[i][k-1] / H[k][k-1], which over the integers is
+    (t*row_i - f*row_k) / (t*d_i) for the pivot numerator t and f the row's
+    numerator, and column k becomes H^k + sum u_i H^i, the other half of the
+    similarity.  Rows are kept primitive over their denominator.
+    """
+    n = m.rows
+    a, dens = _clear_rows(m.data)
+    for k in range(1, n - 1):
+        c = k - 1
+        piv = next((i for i in range(k, n) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            dens[k], dens[piv] = dens[piv], dens[k]
+            for row in a:
+                row[k], row[piv] = row[piv], row[k]
+        row_k = a[k]
+        t = row_k[c]
+        targets, mults = [], []
+        for i in range(k + 1, n):
+            row_i = a[i]
+            f = row_i[c]
+            if f:
+                targets.append(i)
+                mults.append(Fraction(f * dens[k], dens[i] * t))
+                a[i], dens[i] = _primitive(
+                    [t * x - f * y for x, y in zip(row_i, row_k)], t * dens[i]
+                )
+        if not targets:
+            continue
+        # Column k gains sum u_i * column i; over the common denominator v of
+        # the u_i, row r's entry becomes s / (v * d_r), and the row is scaled
+        # by whatever part of v does not divide s.
+        v = lcm(*[u.denominator for u in mults])
+        weights = [u.numerator * (v // u.denominator) for u in mults]
+        for r, row in enumerate(a):
+            s = v * row[k] + sum(map(mul, weights, [row[i] for i in targets]))
+            scale = v // gcd(s, v)
+            if scale != 1:
+                row = [x * scale for x in row]
+            row[k] = s * scale // v
+            a[r], dens[r] = _primitive(row, dens[r] * scale)
+    return a, dens
 
 
 def char_poly_exact(m: RationalMatrix) -> CharPoly:
-    """det(xI - m) via the Faddeev-LeVerrier recursion.
+    """det(xI - m) by Hessenberg reduction and the Hessenberg recurrence.
 
-    The matrix is cleared to integers with a single global scalar s, the
-    recursion runs in integer arithmetic (all intermediate traces divide
-    exactly), and coefficients are rescaled: coeff_k = c_k / s^(n-k).
+    m is reduced to upper Hessenberg form H by similarity (``_hessenberg``),
+    and H is cleared to the integer matrix G = sH by the LCM s of its row
+    denominators.  The characteristic polynomials p_k of the leading k x k
+    blocks of G then follow from p_0 = 1 and
+
+        p_k = (x - g_kk) p_{k-1}
+              - sum_{i<k} g_ik * (g_{i+1,i} ... g_{k,k-1}) * p_{i-1}
+
+    (1-based), all in integers, and coeff_j = c_j / s^(n-j) rescales
+    det(xI - G) = s^n det(x/s I - m) to m.  O(n^3) throughout.
     """
     if not m.is_square:
         raise ValueError("characteristic polynomial requires a square matrix")
     n = m.rows
-    s = lcm(*[e.denominator for row in m.data for e in row])
-    b = [[e.numerator * (s // e.denominator) for e in row] for row in m.data]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    mk = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        am = _int_mat_mul(b, list(zip(*mk)))
-        t = sum(am[i][i] for i in range(n))
-        q, r = divmod(-t, k)
-        assert r == 0, "Faddeev-LeVerrier trace must divide exactly"
-        coeffs[n - k] = q
-        if k < n:
-            for i in range(n):
-                am[i][i] += q
-            mk = am
+    rows, dens = _hessenberg(m)
+    s = lcm(*dens)
+    g = [[x * (s // d) for x in row] for row, d in zip(rows, dens)]
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        g_kk = g[k][k]
+        p = [0] + prev
+        for j, c in enumerate(prev):
+            p[j] -= g_kk * c
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain *= g[i + 1][i]
+            if not chain:
+                break
+            coef = g[i][k] * chain
+            if coef:
+                for j, c in enumerate(polys[i]):
+                    p[j] -= coef * c
+        polys.append(p)
+    coeffs = polys[n]
     return CharPoly(tuple(Fraction(coeffs[j], s ** (n - j)) for j in range(n + 1)))
 
 

@@ -533,33 +533,8 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
         )
 
     def tnb_block_identities(n: int, b: int):
-        dblocks = cf.tnb_structured(cf.MatrixKind.DISTANCE, n, b)
-        xblocks = cf.tnb_xblocks(n, b)
-        size = n - 1
-        d1, d2, d3 = dblocks.diag_block, dblocks.offdiag_block, dblocks.border_col
-        x1, x2, x3 = xblocks.diag_block, xblocks.offdiag_block, xblocks.border_col
-        x = xblocks.corner
-        _expect_equal(
-            imat(size), d1 * x1 + (b - 1) * (d2 * x2) + d3 * x3.transpose(),
-            f"diagonal block identity ({n},{b})",
-        )
-        _expect_equal(
-            zmat(size, size),
-            d1 * x2 + d2 * x1 + (b - 2) * (d2 * x2) + d3 * x3.transpose(),
-            f"off-diagonal block identity ({n},{b})",
-        )
-        _expect_equal(
-            zmat(1, size), d3.transpose() * x1 + (b - 1) * (d3.transpose() * x2),
-            f"hub row identity ({n},{b})",
-        )
-        _expect_equal(
-            zmat(size, 1), d1 * x3 + (b - 1) * (d2 * x3) + x * d3,
-            f"hub column identity ({n},{b})",
-        )
-        _expect_equal(
-            RationalMatrix.from_rows([[1]]), b * (d3.transpose() * x3),
-            f"hub corner identity ({n},{b})",
-        )
+        for label, expected, actual in cf.tnb_product_identities(cf.tnb_xblocks(n, b)):
+            _expect_equal(expected, actual, f"{label} ({n},{b})")
 
     for n in (3, 4, 5, 7, 8, 9, 10):
         for b in range(2, 6):

@@ -1,5 +1,6 @@
 """Closed-form determinants and inverses against the brute-force oracles."""
 
+import dataclasses
 import inspect
 from fractions import Fraction
 
@@ -289,3 +290,47 @@ class TestBookInverse:
         # default call path exercises the internal D * X = I assertion
         x = tnb_inverse(4, 2)
         assert x.rows == 7
+
+
+class TestStructuredProductChecks:
+    """The self-checks in ``kmn_inverse`` and ``tnb_inverse`` work on block
+    scalars and blocks; each must reject a single injected fault."""
+
+    @pytest.mark.parametrize("m,n", [(1, 1), (1, 4), (3, 1), (2, 5), (4, 4), (7, 3)])
+    def test_kmn_check_rejects_each_perturbed_scalar(self, m, n):
+        q = 3 * m * n - 4 * (m + n - 1)
+        half = Fraction(-1, 2)
+        scalars = (half, Fraction(3 * n - 4, 2 * q), Fraction(-1, q), half,
+                   Fraction(3 * m - 4, 2 * q))
+        assert cf._kmn_product_is_identity(m, n, cf._KMN_DISTANCE, scalars)
+        assert kmn_inverse(m, n) == cf._kmn_shaped(m, n, scalars)
+        for k in range(len(scalars)):
+            bad = scalars[:k] + (scalars[k] + Fraction(1, 7),) + scalars[k + 1:]
+            assert not cf._kmn_product_is_identity(m, n, cf._KMN_DISTANCE, bad), k
+
+    @pytest.mark.parametrize("n,b", [(3, 2), (5, 3), (8, 4)])
+    def test_book_check_rejects_each_perturbed_block_entry(self, n, b, monkeypatch):
+        good = cf._tnb_inverse_blocks(n, b)
+        size = n - 1
+        faults = [("diag_block", 0, 0), ("diag_block", size - 1, 0),
+                  ("offdiag_block", 1, size - 1), ("border_col", size - 1, 0), ("corner", 0, 0)]
+        for field, i, j in faults:
+            if field == "corner":
+                bad = dataclasses.replace(good, corner=good.corner + 1)
+            else:
+                block = getattr(good, field)
+                data = [list(row) for row in block.data]
+                data[i][j] += 1
+                bad = dataclasses.replace(good, **{field: RationalMatrix(block.rows, block.cols, data)})
+            monkeypatch.setattr(cf, "_tnb_inverse_blocks", lambda n, b: bad)
+            with pytest.raises(ArithmeticError, match="product check"):
+                tnb_inverse(n, b)
+            assert tnb_inverse(n, b, verify_product=False) == bad.materialize()
+
+    def test_book_check_at_the_advertised_size(self):
+        # the block identities cost the same for every b, so the default
+        # check runs at the order-3501 size the README benchmarks
+        x = tnb_inverse(8, 500)
+        blocks = tnb_xblocks(8, 500)
+        assert x.rows == 3501
+        assert x.data[-1] == [row[0] for row in blocks.border_col.data] * 500 + [blocks.corner]

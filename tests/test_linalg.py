@@ -27,6 +27,7 @@ from cpdist.linalg import (
     zmat,
 )
 from cpdist.rng import Lcg, random_invertible, random_matrix, random_rank_one
+from cpdist.spectra import PARTS, principal_submatrix
 
 
 def small_int_matrix(order):
@@ -63,6 +64,28 @@ def naive_product(a, b):
         ]
         for i in range(a.rows)
     ]
+
+
+def faddeev_leverrier(m):
+    """Reference det(xI - m), ascending coefficients, by the Faddeev-LeVerrier
+    recursion on Fraction entries, independent of linalg's Hessenberg
+    kernel: M_1 = I, c_{n-k} = -tr(m M_k) / k, M_{k+1} = m M_k + c_{n-k} I."""
+    n = m.rows
+    coeffs = [Fraction(0)] * n + [Fraction(1)]
+    mk = imat(n)
+    for k in range(1, n + 1):
+        am = naive_product(m, mk)
+        c = -sum(am[i][i] for i in range(n)) / k
+        coeffs[n - k] = c
+        for i in range(n):
+            am[i][i] += c
+        mk = RationalMatrix(n, n, am)
+    return tuple(coeffs)
+
+
+square_rationals = (
+    st.integers(1, 10).flatmap(lambda n: rational_rows(n, n)).map(RationalMatrix.from_rows)
+)
 
 
 @st.composite
@@ -258,6 +281,50 @@ class TestCharPoly:
     @given(small_int_matrix(4), st.integers(-3, 3))
     def test_matches_shifted_determinant(self, m, x):
         assert char_poly_exact(m).evaluate(x) == det_exact(x * imat(4) - m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(square_rationals)
+    def test_matches_faddeev_leverrier(self, m):
+        assert char_poly_exact(m).coeffs == faddeev_leverrier(m)
+
+    @pytest.mark.parametrize("rows", [
+        pytest.param([[Fraction(-7, 3)]], id="1x1"),
+        pytest.param([[Fraction(1, 2), 3], [Fraction(-2, 5), 4]], id="2x2"),
+        pytest.param([[0] * 5] * 5, id="zero"),
+        # nothing below the subdiagonal of column 0 to pivot on: reducible
+        pytest.param([[1, 2, 3, 4], [0, 5, 6, 7], [0, 8, 9, 1], [0, 2, 3, 4]], id="no-pivot"),
+        # zero subdiagonal entry in column 0: the pivot row and column swap in
+        pytest.param([[1, 2, 3], [0, 4, 5], [6, 7, 8]], id="swap"),
+        pytest.param([[0, 0, 5, 1], [Fraction(1, 2), 0, 0, 2], [0, 0, 1, 3], [0, 3, 0, 0]],
+                     id="swap-twice"),
+        # N^3 = 0 with no zero entry below the diagonal
+        pytest.param([[1, 1, 3], [5, 2, 6], [-2, -1, -3]], id="nilpotent"),
+    ])
+    def test_matches_faddeev_leverrier_on_edge_cases(self, rows):
+        m = RationalMatrix.from_rows(rows)
+        assert char_poly_exact(m).coeffs == faddeev_leverrier(m)
+
+    def test_edge_case_values(self):
+        def coeffs(rows):
+            return char_poly_exact(RationalMatrix.from_rows(rows)).coeffs
+
+        assert coeffs([[Fraction(-7, 3)]]) == (Fraction(7, 3), 1)
+        assert coeffs([[Fraction(1, 2), 3], [Fraction(-2, 5), 4]]) == (
+            Fraction(16, 5), Fraction(-9, 2), 1
+        )
+        assert coeffs([[0] * 5] * 5) == (0, 0, 0, 0, 0, 1)
+        assert coeffs([[1, 1, 3], [5, 2, 6], [-2, -1, -3]]) == (0, 0, 0, 1)
+        tail = [[5, 6, 7], [8, 9, 1], [2, 3, 4]]
+        assert char_poly_exact(
+            RationalMatrix.from_rows([[1, 2, 3, 4]] + [[0] + row for row in tail])
+        ) == CharPoly.linear(1) * char_poly_exact(RationalMatrix.from_rows(tail))
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_matches_faddeev_leverrier_on_book_parts(self, part):
+        for n in range(3 if part == "B" else 4, 8):
+            for b in (2, 3):
+                m = principal_submatrix(part, n, b)
+                assert char_poly_exact(m).coeffs == faddeev_leverrier(m), (part, n, b)
 
     def test_pretty_printing(self):
         poly = CharPoly((Fraction(-16), Fraction(-2), Fraction(1)))
@@ -455,3 +522,10 @@ def test_block_assembly_and_submatrix():
         [jmat(0, 2), imat(0)],
     ]) == imat(2)
     assert RationalMatrix.block([[ones_col(2)], [zmat(0, 1)]]) == ones_col(2)
+
+
+def test_block_width_comes_from_the_blocks():
+    # a zero-height block row carries its width in its blocks' cols
+    assert RationalMatrix.block([[zmat(0, 2)], [imat(2)]]) == imat(2)
+    with pytest.raises(ValueError, match="block column widths differ"):
+        RationalMatrix.block([[imat(2), zmat(2, 1)], [zmat(0, 2), zmat(0, 3)]])
