@@ -1,21 +1,21 @@
 """Per-layer timings of two checkouts of cpdist, written as BENCH_<pr>.json.
 
     python scripts/bench_layers.py --before DIR [--before-label LABEL]
-        [--after DIR] --pr N [--only L0,L1,L2,L3,tier1,perfbench]
-        [--pairs 10] [--workloads verify-suites,oracle-scaling]
+        [--after DIR] --pr N
 
 DIR is the root of a checkout (``src/``, ``tests/``, ``perfbench/``);
 ``--after`` defaults to this repository, and a commit to compare against can
 be exported with ``git archive REV | tar -x -C DIR``.  Every measurement runs in a fresh
 interpreter with that checkout's ``src/`` on ``PYTHONPATH``, so the two
 sides never share a module.  Each row is ``{layer, name, params, ms}``,
-with ``params.rev`` naming the side; rows already in the output file are
-kept and the new ones appended, one row per line.
+with ``params.rev`` naming the side, one row per line; each run writes
+the file afresh.
 
 Layers: L0 the exact kernels, L1 the closed forms with their self-checks,
 L2 single verify suites, L3 whole commands (``verify --suite all``, a large
-``inv``, the Tier-1 test run) and the ``pass_s`` of perfbench workloads, run
-in pairs that alternate which side goes first.
+``inv``, the Tier-1 test run) and the end-to-end metrics of every perfbench
+workload, run in 10 pairs that alternate which side goes first.  A run takes
+about 45 minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import statistics
 import subprocess
 import sys
@@ -38,6 +37,9 @@ L0_SIZES = ((4, 5), (8, 5), (8, 10))
 L0_CALLS = 5
 SUITE_RUNS = 3
 INV_TIMEOUT_S = 60
+TIER1_RUNS = 2
+WORKLOADS = ("verify-suites", "oracle-scaling", "book-assembly")
+PAIRS = 10
 
 
 def _python(tree: Path, code: str, timeout=None) -> str:
@@ -107,18 +109,22 @@ def inv_row(tree: Path, rev: str) -> dict:
     return {"layer": "L3", "name": "inv --family tn-book --n 8 --b 500", "params": params, "ms": ms}
 
 
-def tier1_row(tree: Path, rev: str, runs: int = 2) -> dict:
+def tier1_row(tree: Path, rev: str) -> dict:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     results, times = [], []
-    for _ in range(runs):
+    for _ in range(TIER1_RUNS):
         start = time.perf_counter()
         proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               "--continue-on-collection-errors"], cwd=tree, env=env,
-                              capture_output=True, text=True, check=False)
+                               "--continue-on-collection-errors"],
+                              cwd=tree, env=env, capture_output=True, text=True, check=False)
         times.append(time.perf_counter() - start)
-        results.append(re.findall(r"\d+ passed.*? in [\d.]+s", proc.stdout)[-1])
+        summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
+        if proc.returncode != 0:
+            raise RuntimeError(f"Tier-1 in {tree} exited {proc.returncode}: {summary}")
+        results.append(summary.strip("= "))
     return {"layer": "L3", "name": "tier1",
-            "params": {"rev": rev, "results": results, "stat": f"mean of {runs} runs, wall time"},
+            "params": {"rev": rev, "results": results,
+                       "stat": f"mean of {TIER1_RUNS} runs, wall time"},
             "ms": round(statistics.mean(times) * 1000, 1)}
 
 
@@ -132,11 +138,11 @@ def _perfbench(tree: Path, workload: str, seed: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def perfbench_rows(before: Path, after: Path, revs: dict, workloads, pairs: int) -> list:
+def perfbench_rows(before: Path, after: Path, revs: dict) -> list:
     rows = []
-    for workload in workloads:
+    for workload in WORKLOADS:
         runs = {"before": [], "after": []}
-        seeds = list(range(101, 101 + pairs))
+        seeds = list(range(101, 101 + PAIRS))
         for i, seed in enumerate(seeds):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
@@ -148,7 +154,7 @@ def perfbench_rows(before: Path, after: Path, revs: dict, workloads, pairs: int)
             key, suffix, scale = ("ms", "_ms", 1000) if metric.endswith("_s") else ("value", "", 1)
             for side in ("before", "after"):
                 q1, _, q3 = statistics.quantiles(values[side], n=4)
-                params = {"workload": workload, "rev": revs[side], "runs": pairs, "seeds": seeds,
+                params = {"workload": workload, "rev": revs[side], "runs": PAIRS, "seeds": seeds,
                           "seconds": 35, "stat": "median",
                           f"q1{suffix}": round(q1 * scale, 3), f"q3{suffix}": round(q3 * scale, 3),
                           f"values{suffix}": [round(v * scale, 3) for v in values[side]],
@@ -166,35 +172,23 @@ def main(argv=None) -> int:
     parser.add_argument("--after", type=Path, default=ROOT)
     parser.add_argument("--before-label", default="before")
     parser.add_argument("--pr", required=True)
-    parser.add_argument("--only", default="L0,L1,L2,L3,tier1,perfbench")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default="verify-suites,oracle-scaling")
     args = parser.parse_args(argv)
-    only = set(args.only.split(","))
     revs = {"before": args.before_label, "after": "after"}
     sides = (("before", args.before.resolve()), ("after", args.after.resolve()))
 
     rows = []
     for side, tree in sides:
         rev = revs[side]
-        if "L0" in only:
-            rows += l0_rows(tree, rev)
-        if "L1" in only:
-            rows += l1_rows(tree, rev)
-        if "L2" in only:
-            rows += suite_rows(tree, rev, "L2", ("spectra", "inverses"))
-        if "L3" in only:
-            rows += suite_rows(tree, rev, "L3", ("all",))
-            rows.append(inv_row(tree, rev))
-        if "tier1" in only:
-            rows.append(tier1_row(tree, rev))
-    if "perfbench" in only:
-        rows += perfbench_rows(sides[0][1], sides[1][1], revs,
-                               args.workloads.split(","), args.pairs)
+        rows += l0_rows(tree, rev)
+        rows += l1_rows(tree, rev)
+        rows += suite_rows(tree, rev, "L2", ("spectra", "inverses"))
+        rows += suite_rows(tree, rev, "L3", ("all",))
+        rows.append(inv_row(tree, rev))
+        rows.append(tier1_row(tree, rev))
+    rows += perfbench_rows(sides[0][1], sides[1][1], revs)
 
+    lines = [json.dumps(row) for row in rows]
     out = ROOT / f"BENCH_{args.pr}.json"
-    old = json.loads(out.read_text(encoding="utf-8")) if out.exists() else []
-    lines = [json.dumps(row) for row in old + rows]
     out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
     for row in rows:
         print(json.dumps(row))

@@ -162,17 +162,13 @@ def _spec(family: _Family, args) -> gr.FamilySpec:
 
 
 def _matrix_csv(m: RationalMatrix) -> str:
-    # Block replication shares entry objects along a row (a book inverse row
-    # of order 3501 holds a handful), so a row with repeated objects formats
-    # each distinct one once and looks it up by identity.
+    # Builders share entry objects along a row (a book inverse row of order
+    # 3501 holds a handful, a distance row one per distance), so each row
+    # formats its distinct objects once and looks them up by identity.
     lines = []
     for row in m.data:
-        distinct = dict(zip(map(id, row), row))
-        if len(distinct) == len(row):
-            lines.append(",".join(map(rational_str, row)))
-        else:
-            text = {key: rational_str(e) for key, e in distinct.items()}
-            lines.append(",".join(map(text.__getitem__, map(id, row))))
+        text = {key: rational_str(e) for key, e in dict(zip(map(id, row), row)).items()}
+        lines.append(",".join(map(text.__getitem__, map(id, row))))
     return "\n".join(lines) + "\n"
 
 

@@ -152,11 +152,20 @@ _KMN_DISTANCE = (-2, 2, 1, -2, 2)
 
 
 def _kmn_shaped(m: int, n: int, scalars: tuple) -> RationalMatrix:
-    a, b, c, a2, b2 = scalars
-    return RationalMatrix.block([
-        [a * imat(m) + b * jmat(m, m), c * jmat(m, n)],
-        [c * jmat(n, m), a2 * imat(n) + b2 * jmat(n, n)],
-    ])
+    """The matrix of five distinct values, each one Fraction shared by every
+    entry that holds it."""
+    a, b, c, a2, b2 = map(Fraction, scalars)
+    diag, diag2 = a + b, a2 + b2
+    rows = []
+    for i in range(m):
+        row = [b] * m + [c] * n
+        row[i] = diag
+        rows.append(row)
+    for i in range(n):
+        row = [c] * m + [b2] * n
+        row[m + i] = diag2
+        rows.append(row)
+    return RationalMatrix(m + n, m + n, rows)
 
 
 def _kmn_product_is_identity(m: int, n: int, left: tuple, right: tuple) -> bool:
@@ -333,9 +342,10 @@ def tnb_inverse(n: int, b: int, verify_product: bool = True) -> RationalMatrix:
     D^-1 = -L/2 + J/(2b) + R/(2(n-6)b), combined block by block and then
     replicated.
 
-    With ``verify_product`` D * X = I is checked before returning through
-    the five block identities of ``tnb_product_identities``, whose cost does
-    not depend on b.
+    With ``verify_product`` the blocks of X are checked before returning
+    against the five block identities of ``tnb_product_identities``, which
+    hold exactly when D * X = I and cost nothing that grows with b.  The
+    check covers the blocks, not their replication by ``materialize``.
     """
     blocks = _tnb_inverse_blocks(n, b)
     if verify_product and any(e != a for _, e, a in tnb_product_identities(blocks)):

@@ -212,6 +212,8 @@ def all_pairs_distances(g: Graph) -> RationalMatrix:
     """Shortest-path distance matrix by BFS from every vertex."""
     adj = g.adjacency()
     n = g.vertex_count
+    # One Fraction per distance value, shared by every entry that holds it.
+    values = [Fraction(k) for k in range(n)]
     rows = []
     for source in range(1, n + 1):
         dist = [-1] * (n + 1)
@@ -226,7 +228,7 @@ def all_pairs_distances(g: Graph) -> RationalMatrix:
                     queue.append(v)
         if min(dist[1:]) < 0:
             raise GraphError("graph not connected")
-        rows.append([Fraction(dist[v]) for v in range(1, n + 1)])
+        rows.append([values[dist[v]] for v in range(1, n + 1)])
     return RationalMatrix(n, n, rows)
 
 

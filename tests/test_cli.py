@@ -64,6 +64,17 @@ class TestGen:
         out = capsys.readouterr().out
         assert "-3/2" in out.splitlines()[0]
 
+    def test_csv_of_shared_and_distinct_entry_objects(self, capsys, monkeypatch):
+        # Rows mix one shared object, equal values held by distinct objects,
+        # and fractions; every entry is written where it stands.
+        half = Fraction(-1, 2)
+        rows = [[half, Fraction(2), half, Fraction(2), Fraction(0)],
+                [Fraction(0), Fraction(0), Fraction(7, 3), half, half]]
+        matrix = RationalMatrix(2, 5, rows)
+        monkeypatch.setitem(FAMILIES["k4"].gen, "dist", lambda s: matrix)
+        assert main(["gen", "--family", "k4"]) == 0
+        assert capsys.readouterr().out == "-1/2,2,-1/2,2,0\n0,0,7/3,-1/2,-1/2\n"
+
 
 class TestDet:
     def test_book_example(self, capsys):
