@@ -13,9 +13,9 @@ the file afresh.
 
 Layers: L0 the exact kernels, L1 the closed forms with their self-checks,
 L2 single verify suites, L3 whole commands (``verify --suite all``, a large
-``inv``, the Tier-1 test run) and the end-to-end metrics of every perfbench
-workload, run in 10 pairs that alternate which side goes first.  A run takes
-about 45 minutes on 2 vCPUs.
+book ``inv``, a large book and a large K_{m,n} ``gen``, the Tier-1 test run)
+and the end-to-end metrics of every perfbench workload, run in 10 pairs that
+alternate which side goes first.  A run takes about 45 minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -36,7 +36,16 @@ ROOT = Path(__file__).resolve().parent.parent
 L0_SIZES = ((4, 5), (8, 5), (8, 10))
 L0_CALLS = 5
 SUITE_RUNS = 3
-INV_TIMEOUT_S = 60
+# Whole commands, each timed in fresh processes: the order-3501 book
+# inverse, the order-2101 book distance matrix and the order-701 K_{m,n}
+# distance matrix.
+COMMANDS = (
+    ("inv", "--family", "tn-book", "--n", "8", "--b", "500"),
+    ("gen", "--family", "tn-book", "--n", "8", "--b", "300", "--kind", "dist"),
+    ("gen", "--family", "kmn", "--m", "350", "--n", "351"),
+)
+COMMAND_RUNS = 3
+COMMAND_TIMEOUT_S = 60
 TIER1_RUNS = 2
 WORKLOADS = ("verify-suites", "oracle-scaling", "book-assembly")
 PAIRS = 10
@@ -95,18 +104,23 @@ def suite_rows(tree: Path, rev: str, layer: str, suites) -> list:
     return rows
 
 
-def inv_row(tree: Path, rev: str) -> dict:
+def command_row(tree: Path, rev: str, argv: tuple) -> dict:
+    params = {"rev": rev, "stat": f"median wall time of {COMMAND_RUNS} processes"}
+    times = []
     with tempfile.TemporaryDirectory() as tmp:
-        argv = ["inv", "--family", "tn-book", "--n", "8", "--b", "500", "--out", f"{tmp}/inv.csv"]
-        code = f"import sys\nfrom cpdist.cli import main\nsys.exit(main({argv!r}))"
-        params = {"rev": rev, "stat": "wall time of one process"}
-        start = time.perf_counter()
-        try:
-            _python(tree, code, timeout=INV_TIMEOUT_S)
-            ms = round((time.perf_counter() - start) * 1000, 1)
-        except subprocess.TimeoutExpired:
-            ms, params["result"] = None, f"not finished within {INV_TIMEOUT_S} s, stopped"
-    return {"layer": "L3", "name": "inv --family tn-book --n 8 --b 500", "params": params, "ms": ms}
+        code = ("import sys\nfrom cpdist.cli import main\n"
+                f"sys.exit(main({list(argv) + ['--out', f'{tmp}/out.csv']!r}))")
+        for _ in range(COMMAND_RUNS):
+            start = time.perf_counter()
+            try:
+                _python(tree, code, timeout=COMMAND_TIMEOUT_S)
+            except subprocess.TimeoutExpired:
+                params["result"] = f"not finished within {COMMAND_TIMEOUT_S} s, stopped"
+                break
+            times.append(round((time.perf_counter() - start) * 1000, 1))
+    ms = statistics.median(times) if len(times) == COMMAND_RUNS else None
+    return {"layer": "L3", "name": " ".join(argv), "params": {**params, "runs_ms": times},
+            "ms": ms}
 
 
 def tier1_row(tree: Path, rev: str) -> dict:
@@ -183,7 +197,7 @@ def main(argv=None) -> int:
         rows += l1_rows(tree, rev)
         rows += suite_rows(tree, rev, "L2", ("spectra", "inverses"))
         rows += suite_rows(tree, rev, "L3", ("all",))
-        rows.append(inv_row(tree, rev))
+        rows += [command_row(tree, rev, argv) for argv in COMMANDS]
         rows.append(tier1_row(tree, rev))
     rows += perfbench_rows(sides[0][1], sides[1][1], revs)
 

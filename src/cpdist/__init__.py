@@ -10,6 +10,7 @@ polynomials by Hessenberg reduction and the Hessenberg recurrence).
 
 from .closed_form import (
     MatrixKind,
+    ProductCheckError,
     SingularFamilyError,
     StructuredBlockForm,
     kmn_det,
@@ -22,6 +23,7 @@ from .closed_form import (
     tn_rmat,
     tnb_det,
     tnb_inverse,
+    tnb_inverse_form,
     tnb_product_identities,
     tnb_structured,
     tnb_xblocks,

@@ -7,8 +7,11 @@ requests), ``verify`` (run a named suite, emit a JSON report), ``spectrum``
 assembly vs generic Gauss-Jordan).
 
 Exit codes: 0 success, 1 usage error, 2 mathematically singular request,
-3 verification failure.  Rationals serialize as ``p/q`` (plain ``p`` for
-integers); matrix CSV is headerless with comma-separated rows.
+3 verification failure: a ``det`` or ``spectrum`` mismatch, a failed
+``verify`` cell, or an ``inv`` whose closed form fails its own D * X = I
+self-check (nothing is written then).  Rationals serialize as ``p/q``
+(plain ``p`` for integers); matrix CSV is headerless with comma-separated
+rows.
 """
 
 from __future__ import annotations
@@ -99,7 +102,10 @@ class _Family:
     """One family's facts, each stated once: its flags with their minimums
     (None: any value) in check order, its graph spec built from their values,
     the closed-form det (of the built graph) and inverse (of the spec), and
-    the ``gen`` kinds it builds in closed form; other kinds use the graph."""
+    the ``gen`` kinds it builds in closed form; other kinds use the graph.
+    The inverse and the ``gen`` builders return a ``RationalMatrix``, or for
+    the book family its self-checked ``StructuredBlockForm``, which
+    ``_matrix_csv`` writes without materializing."""
 
     flags: dict
     spec: Callable
@@ -109,7 +115,7 @@ class _Family:
 
 
 def _book(kind: cf.MatrixKind) -> Callable:
-    return lambda s: cf.tnb_structured(kind, s.n, s.b).materialize()
+    return lambda s: cf.tnb_structured(kind, s.n, s.b)
 
 
 FAMILIES = {
@@ -123,7 +129,7 @@ FAMILIES = {
     "tn-book": _Family(
         {"n": 3, "b": 2}, gr.TnBook,
         det=lambda g: cf.tnb_det(g.family.n, g.family.b),
-        inverse=lambda s: cf.tnb_inverse(s.n, s.b),
+        inverse=lambda s: cf.tnb_inverse_form(s.n, s.b),
         gen={"dist": _book(cf.MatrixKind.DISTANCE), "lap": _book(cf.MatrixKind.LAPLACIAN),
              "rmat": _book(cf.MatrixKind.RMAT)},
     ),
@@ -131,11 +137,13 @@ FAMILIES = {
         {"m": 1, "n": 1}, gr.CompleteBipartite,
         det=lambda g: cf.kmn_det(g.family.m, g.family.n),
         inverse=lambda s: cf.kmn_inverse(s.m, s.n),
+        gen={"dist": lambda s: cf.kmn_distance(s.m, s.n)},
     ),
     "star": _Family(
         {"n": 1}, gr.Star,
         det=lambda g: cf.kmn_det(g.family.n, 1),
         inverse=lambda s: cf.kmn_inverse(s.n, 1),
+        gen={"dist": lambda s: cf.kmn_distance(s.n, 1)},
     ),
     "tree": _Family(
         {"n": 2, "seed": None}, lambda n, seed: gr.Tree(random_tree_edges(n, Lcg(seed))),
@@ -161,15 +169,31 @@ def _spec(family: _Family, args) -> gr.FamilySpec:
     return family.spec(**{f: _require(getattr(args, f), f, low) for f, low in family.flags.items()})
 
 
-def _matrix_csv(m: RationalMatrix) -> str:
-    # Builders share entry objects along a row (a book inverse row of order
-    # 3501 holds a handful, a distance row one per distance), so each row
-    # formats its distinct objects once and looks them up by identity.
-    lines = []
-    for row in m.data:
-        text = {key: rational_str(e) for key, e in dict(zip(map(id, row), row)).items()}
-        lines.append(",".join(map(text.__getitem__, map(id, row))))
-    return "\n".join(lines) + "\n"
+def _row_csv(row: list) -> str:
+    # Builders share entry objects along a row (a distance row holds one per
+    # distance), so a row formats its distinct objects once and looks them
+    # up by identity.
+    text = {key: rational_str(e) for key, e in dict(zip(map(id, row), row)).items()}
+    return ",".join(map(text.__getitem__, map(id, row)))
+
+
+def _matrix_csv(m: RationalMatrix | cf.StructuredBlockForm) -> str:
+    if isinstance(m, RationalMatrix):
+        lines = list(map(_row_csv, m.data))
+    else:
+        # Each block row is formatted once.  Line i of block k is the
+        # off-diagonal row i repeated, with the diagonal row i in place k,
+        # then hub entry i; the hub line is the hub column b times, then the
+        # corner.
+        b = m.b
+        diag = [_row_csv(row) + "," for row in m.diag_block.data]
+        off = [_row_csv(row) + "," for row in m.offdiag_block.data]
+        hub = [_row_csv(row) for row in m.border_col.data]
+        lines = [off[i] * k + diag[i] + off[i] * (b - k - 1) + hub[i]
+                 for k in range(b) for i in range(len(diag))]
+        lines.append((",".join(hub) + ",") * b + rational_str(m.corner))
+    lines.append("")
+    return "\n".join(lines)
 
 
 def _write_text(text: str, path) -> None:
@@ -229,6 +253,9 @@ def _cmd_inv(args) -> int:
     except cf.SingularFamilyError as err:
         print(f"singular: {err}", file=sys.stderr)
         return 2
+    except cf.ProductCheckError as err:
+        print(f"verification failed: {err}", file=sys.stderr)
+        return 3
     _write_text(_matrix_csv(inverse), args.out)
     return 0
 

@@ -3,17 +3,21 @@
 Each family has the same two functions: ``<family>_det`` returns the
 determinant as a ``Fraction`` and ``<family>_inverse`` returns the inverse
 as a ``RationalMatrix``, raising ``SingularFamilyError`` where the family is
-singular.  Every formula here has an independent brute-force counterpart in
-``cpdist.linalg``; the test suites compare the two exactly.  Block displays
-are assembled from the dedicated constructors ``imat``/``jmat``/``ones_col``/
-``swap2`` so each builder can be audited line by line against the matrix it
-claims to produce.
+singular; the inverses that check D * X = I on their blocks raise
+``ProductCheckError`` when that check fails.  Every formula here has an
+independent brute-force counterpart in ``cpdist.linalg``; the test suites
+compare the two exactly.  Block displays are assembled from the dedicated
+constructors ``imat``/``jmat``/``ones_col``/``swap2`` so each builder can be
+audited line by line against the matrix it claims to produce.
 
 The book family T_n^(b) (b triangle-fan blocks sharing one hub vertex) is
 handled through ``StructuredBlockForm``: one diagonal block, one off-diagonal
-block, one border column and a corner scalar, materialized by block
-replication.  That keeps inverse assembly linear in the output size, which
-is what makes the large benchmark instances feasible.
+block, one border column and a corner scalar.  ``tnb_structured`` and
+``tnb_inverse_form`` return that form, and the CLI writes its CSV from the
+blocks without building the dense rows; ``materialize`` expands it by block
+replication, which is how ``tnb_inverse`` builds its ``RationalMatrix``.
+Either way the cost is linear in the output size, which is what makes the
+large benchmark instances feasible.
 """
 
 from __future__ import annotations
@@ -35,6 +39,10 @@ from .linalg import (
 
 class SingularFamilyError(ValueError):
     """A closed-form inverse was requested where the family is singular."""
+
+
+class ProductCheckError(ArithmeticError):
+    """A closed-form inverse failed its own D * X = I self-check."""
 
 
 class MatrixKind(Enum):
@@ -221,7 +229,7 @@ def kmn_inverse(m: int, n: int) -> RationalMatrix:
     half = Fraction(-1, 2)
     inverse = (half, Fraction(3 * n - 4, 2 * q), Fraction(-1, q), half, Fraction(3 * m - 4, 2 * q))
     if not _kmn_product_is_identity(m, n, _KMN_DISTANCE, inverse):
-        raise ArithmeticError(f"bipartite inverse failed the product check at ({m}, {n})")
+        raise ProductCheckError(f"bipartite inverse failed the product check at ({m}, {n})")
     return _kmn_shaped(m, n, inverse)
 
 
@@ -337,20 +345,26 @@ def tnb_product_identities(x: StructuredBlockForm) -> list:
     ]
 
 
-def tnb_inverse(n: int, b: int, verify_product: bool = True) -> RationalMatrix:
-    """Inverse of the book-family distance matrix for n != 6:
-    D^-1 = -L/2 + J/(2b) + R/(2(n-6)b), combined block by block and then
-    replicated.
+def tnb_inverse_form(n: int, b: int, verify_product: bool = True) -> StructuredBlockForm:
+    """Block form of the book-family inverse for n != 6:
+    D^-1 = -L/2 + J/(2b) + R/(2(n-6)b), combined block by block.
 
-    With ``verify_product`` the blocks of X are checked before returning
-    against the five block identities of ``tnb_product_identities``, which
-    hold exactly when D * X = I and cost nothing that grows with b.  The
-    check covers the blocks, not their replication by ``materialize``.
+    With ``verify_product`` the blocks are checked before returning against
+    the five block identities of ``tnb_product_identities``, which hold
+    exactly when D * X = I and cost nothing that grows with b.  The check
+    covers the blocks, not their replication by ``materialize``.
     """
     blocks = _tnb_inverse_blocks(n, b)
     if verify_product and any(e != a for _, e, a in tnb_product_identities(blocks)):
-        raise ArithmeticError(f"book-family inverse failed the product check at ({n}, {b})")
-    return blocks.materialize()
+        raise ProductCheckError(f"book-family inverse failed the product check at ({n}, {b})")
+    return blocks
+
+
+def tnb_inverse(n: int, b: int, verify_product: bool = True) -> RationalMatrix:
+    """Inverse of the book-family distance matrix for n != 6: the form of
+    ``tnb_inverse_form``, checked the same way, replicated to the dense
+    matrix."""
+    return tnb_inverse_form(n, b, verify_product).materialize()
 
 
 def _tnb_inverse_blocks(n: int, b: int) -> StructuredBlockForm:

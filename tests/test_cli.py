@@ -6,8 +6,9 @@ from fractions import Fraction
 
 import pytest
 
+import cpdist.cli as cli
 import cpdist.closed_form as cf
-from cpdist.cli import FAMILIES, main
+from cpdist.cli import FAMILIES, _matrix_csv, main
 from cpdist.linalg import RationalMatrix, imat
 from cpdist.graphs import (
     K4,
@@ -75,6 +76,43 @@ class TestGen:
         assert main(["gen", "--family", "k4"]) == 0
         assert capsys.readouterr().out == "-1/2,2,-1/2,2,0\n0,0,7/3,-1/2,-1/2\n"
 
+    @pytest.mark.parametrize("family,sizes", [
+        ("kmn", {"m": 1, "n": 1}), ("kmn", {"m": 1, "n": 5}), ("kmn", {"m": 2, "n": 2}),
+        ("kmn", {"m": 3, "n": 4}), ("kmn", {"m": 7, "n": 2}),
+        ("star", {"n": 1}), ("star", {"n": 2}), ("star", {"n": 5}), ("star", {"n": 9}),
+    ])
+    def test_bipartite_distance_in_closed_form(self, family, sizes, capsys, monkeypatch):
+        spec = FAMILY_CASES[family][0](**sizes)
+        expected = _matrix_csv(all_pairs_distances(build_family(spec)))
+
+        def no_bfs(graph):
+            raise AssertionError("gen ran the BFS oracle")
+
+        monkeypatch.setitem(cli._GRAPH_KINDS, "dist", no_bfs)
+        assert main(["gen", "--kind", "dist"] + family_argv(family, sizes)) == 0
+        assert capsys.readouterr().out == expected
+
+
+BOOK_SIZES = [(n, b) for n in (3, 4, 5, 7, 8) for b in (2, 3, 5)]
+
+
+class TestBookCsv:
+    """Book matrices are written from their block form; the bytes must be
+    those of the dense matrix the form materializes to."""
+
+    @pytest.mark.parametrize("kind", [cf.MatrixKind.DISTANCE, cf.MatrixKind.LAPLACIAN,
+                                      cf.MatrixKind.RMAT])
+    @pytest.mark.parametrize("n,b", BOOK_SIZES)
+    def test_structured_kinds(self, kind, n, b):
+        form = cf.tnb_structured(kind, n, b)
+        assert _matrix_csv(form) == _matrix_csv(form.materialize())
+
+    @pytest.mark.parametrize("n,b", BOOK_SIZES)
+    def test_inverse(self, n, b):
+        # negative and fractional entries, and at n = 3 no (n-3) blocks
+        form = cf.tnb_inverse_form(n, b)
+        assert _matrix_csv(form) == _matrix_csv(form.materialize())
+
 
 class TestDet:
     def test_book_example(self, capsys):
@@ -116,6 +154,36 @@ class TestInv:
     def test_singular_bipartite_refused(self, capsys):
         assert main(["inv", "--family", "kmn", "--m", "2", "--n", "2"]) == 2
         assert "singular" in capsys.readouterr().err
+
+    def test_failed_book_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # One perturbed entry of the inverse's off-diagonal block: the block
+        # identities refuse it before any byte is written.
+        good = cf._tnb_inverse_blocks(5, 3)
+        data = [list(row) for row in good.offdiag_block.data]
+        data[1][2] += Fraction(1, 3)
+        bad = dataclasses.replace(good, offdiag_block=RationalMatrix(4, 4, data))
+        monkeypatch.setattr(cf, "_tnb_inverse_blocks", lambda n, b: bad)
+        target = tmp_path / "x.csv"
+        argv = ["inv", "--family", "tn-book", "--n", "5", "--b", "3", "--out", str(target)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("verification failed: book-family inverse failed the "
+                                "product check at (5, 3)\n")
+        assert not target.exists()
+
+    def test_failed_bipartite_check_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        # A perturbed distance scalar: the true inverse no longer passes
+        # D * X = I on the block scalars.
+        monkeypatch.setattr(cf, "_KMN_DISTANCE", (-2, 2, 1, -2, 3))
+        target = tmp_path / "x.csv"
+        argv = ["inv", "--family", "kmn", "--m", "3", "--n", "4", "--out", str(target)]
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("verification failed: bipartite inverse failed the "
+                                "product check at (3, 4)\n")
+        assert not target.exists()
 
 
 class TestVerify:
