@@ -69,8 +69,11 @@ def _median_ms(tree: Path, setup: str, call: str, calls: int) -> float:
 def l0_rows(tree: Path, rev: str) -> list:
     rows = []
     for n, b in L0_SIZES:
-        setup = ("from cpdist import closed_form as cf\nfrom cpdist.linalg import char_poly_exact\n"
-                 f"d = cf.tnb_structured(cf.MatrixKind.DISTANCE, {n}, {b}).materialize()")
+        # Built through names both checkouts have; the tnb-blockform cells
+        # check that the BFS matrix is the closed-form one.
+        setup = ("from cpdist.graphs import TnBook, all_pairs_distances, build_family\n"
+                 "from cpdist.linalg import char_poly_exact\n"
+                 f"d = all_pairs_distances(build_family(TnBook({n}, {b})))")
         ms = _median_ms(tree, setup, "char_poly_exact(d)", L0_CALLS)
         rows.append({"layer": "L0", "name": "char_poly_exact",
                      "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",

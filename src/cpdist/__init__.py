@@ -9,7 +9,6 @@ polynomials by Hessenberg reduction and the Hessenberg recurrence).
 """
 
 from .closed_form import (
-    MatrixKind,
     ProductCheckError,
     SingularFamilyError,
     StructuredBlockForm,
@@ -22,10 +21,12 @@ from .closed_form import (
     tn_laplacian,
     tn_rmat,
     tnb_det,
+    tnb_distance,
     tnb_inverse,
     tnb_inverse_form,
+    tnb_laplacian,
     tnb_product_identities,
-    tnb_structured,
+    tnb_rmat,
     tnb_xblocks,
     tree_det,
     tree_inverse,
@@ -38,7 +39,6 @@ from .graphs import (
     Graph,
     GraphError,
     K4,
-    Star,
     Tree,
     TnBook,
     TnSingle,

@@ -20,7 +20,7 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import closed_form as cf
@@ -114,10 +114,12 @@ class _Family:
     gen: dict = field(default_factory=dict)
 
 
-def _book(kind: cf.MatrixKind) -> Callable:
-    return lambda s: cf.tnb_structured(kind, s.n, s.b)
-
-
+_KMN = _Family(
+    {"m": 1, "n": 1}, gr.CompleteBipartite,
+    det=lambda g: cf.kmn_det(g.family.m, g.family.n),
+    inverse=lambda s: cf.kmn_inverse(s.m, s.n),
+    gen={"dist": lambda s: cf.kmn_distance(s.m, s.n)},
+)
 FAMILIES = {
     "tn": _Family(
         {"n": 3}, gr.TnSingle,
@@ -130,21 +132,13 @@ FAMILIES = {
         {"n": 3, "b": 2}, gr.TnBook,
         det=lambda g: cf.tnb_det(g.family.n, g.family.b),
         inverse=lambda s: cf.tnb_inverse_form(s.n, s.b),
-        gen={"dist": _book(cf.MatrixKind.DISTANCE), "lap": _book(cf.MatrixKind.LAPLACIAN),
-             "rmat": _book(cf.MatrixKind.RMAT)},
+        gen={"dist": lambda s: cf.tnb_distance(s.n, s.b),
+             "lap": lambda s: cf.tnb_laplacian(s.n, s.b),
+             "rmat": lambda s: cf.tnb_rmat(s.n, s.b)},
     ),
-    "kmn": _Family(
-        {"m": 1, "n": 1}, gr.CompleteBipartite,
-        det=lambda g: cf.kmn_det(g.family.m, g.family.n),
-        inverse=lambda s: cf.kmn_inverse(s.m, s.n),
-        gen={"dist": lambda s: cf.kmn_distance(s.m, s.n)},
-    ),
-    "star": _Family(
-        {"n": 1}, gr.Star,
-        det=lambda g: cf.kmn_det(g.family.n, 1),
-        inverse=lambda s: cf.kmn_inverse(s.n, 1),
-        gen={"dist": lambda s: cf.kmn_distance(s.n, 1)},
-    ),
+    "kmn": _KMN,
+    # The star K_{n,1}: leaves 1..n, hub n+1.
+    "star": replace(_KMN, flags={"n": 1}, spec=lambda n: gr.CompleteBipartite(n, 1)),
     "tree": _Family(
         {"n": 2, "seed": None}, lambda n, seed: gr.Tree(random_tree_edges(n, Lcg(seed))),
         det=cf.tree_det,
@@ -332,7 +326,7 @@ def _cmd_bench(args) -> int:
     skipped = None
     agree = None
     if order <= BENCH_GAUSS_ORDER_CAP:
-        dist = cf.tnb_structured(cf.MatrixKind.DISTANCE, n, b).materialize()
+        dist = cf.tnb_distance(n, b).materialize()
         start = time.perf_counter()
         generic = inverse_exact(dist)
         gauss_ms = int((time.perf_counter() - start) * 1000)

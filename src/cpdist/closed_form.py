@@ -12,7 +12,9 @@ audited line by line against the matrix it claims to produce.
 
 The book family T_n^(b) (b triangle-fan blocks sharing one hub vertex) is
 handled through ``StructuredBlockForm``: one diagonal block, one off-diagonal
-block, one border column and a corner scalar.  ``tnb_structured`` and
+block, one border column and a corner scalar.  Like the fan's
+``tn_distance``, ``tn_laplacian`` and ``tn_rmat``, the book has one builder
+per matrix, ``tnb_distance``, ``tnb_laplacian`` and ``tnb_rmat``; they and
 ``tnb_inverse_form`` return that form, and the CLI writes its CSV from the
 blocks without building the dense rows; ``materialize`` expands it by block
 replication, which is how ``tnb_inverse`` builds its ``RationalMatrix``.
@@ -23,7 +25,6 @@ large benchmark instances feasible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from fractions import Fraction
 
 from .graphs import Graph, is_tree, laplacian
@@ -45,13 +46,6 @@ class ProductCheckError(ArithmeticError):
     """A closed-form inverse failed its own D * X = I self-check."""
 
 
-class MatrixKind(Enum):
-    DISTANCE = "distance"
-    LAPLACIAN = "laplacian"
-    RMAT = "rmat"
-    XMAT = "xmat"
-
-
 @dataclass(frozen=True)
 class StructuredBlockForm:
     """Block-repeating, hub-bordered matrix of order b*(n-1)+1.
@@ -60,7 +54,6 @@ class StructuredBlockForm:
     ``offdiag_block`` everywhere else, ``border_col`` along the hub column
     (and its transpose along the hub row) and ``corner`` at the hub."""
 
-    kind: MatrixKind
     n: int
     b: int
     diag_block: RationalMatrix
@@ -104,6 +97,12 @@ def _require_book(n: int, b: int) -> None:
     _require_tn(n)
     if b < 2:
         raise ValueError("book family requires b >= 2 (a single block is the plain fan)")
+
+
+def _require_invertible_book(n: int, b: int) -> None:
+    _require_book(n, b)
+    if n == 6:
+        raise SingularFamilyError("distance matrix singular (n=6, b>=2)")
 
 
 def _require_parts(m: int, n: int) -> None:
@@ -260,59 +259,63 @@ def tnb_det(n: int, b: int) -> Fraction:
     return Fraction(sign * 2 ** (b * (n - 3) + 1) * b * (n - 6) ** (b - 1))
 
 
-def tnb_structured(kind: MatrixKind, n: int, b: int) -> StructuredBlockForm:
-    """Block description of the book family's distance, Laplacian or
-    correction matrix.
+def tnb_distance(n: int, b: int) -> StructuredBlockForm:
+    """Block form of the book family's distance matrix.
 
     Each block splits into the two base vertices and the n - 3 other
     non-hub vertices of a fan.  One display serves every n >= 3: at n = 3
     the (n-3)-sized blocks are empty and ``RationalMatrix.block`` drops
-    them, leaving the base blocks alone."""
+    them, leaving the base blocks alone; the same holds for the Laplacian,
+    the correction matrix and the inverse."""
     _require_book(n, b)
-    if kind is MatrixKind.DISTANCE:
-        d1 = RationalMatrix.block([
-            [swap2(), jmat(2, n - 3)],
-            [jmat(n - 3, 2), 2 * (jmat(n - 3, n - 3) - imat(n - 3))],
-        ])
-        d2 = RationalMatrix.block([
-            [2 * jmat(2, 2), 3 * jmat(2, n - 3)],
-            [3 * jmat(n - 3, 2), 4 * jmat(n - 3, n - 3)],
-        ])
-        d3 = RationalMatrix.block([[ones_col(2)], [2 * ones_col(n - 3)]])
-        return StructuredBlockForm(kind, n, b, d1, d2, d3, Fraction(0))
+    d1 = RationalMatrix.block([
+        [swap2(), jmat(2, n - 3)],
+        [jmat(n - 3, 2), 2 * (jmat(n - 3, n - 3) - imat(n - 3))],
+    ])
+    d2 = RationalMatrix.block([
+        [2 * jmat(2, 2), 3 * jmat(2, n - 3)],
+        [3 * jmat(n - 3, 2), 4 * jmat(n - 3, n - 3)],
+    ])
+    d3 = RationalMatrix.block([[ones_col(2)], [2 * ones_col(n - 3)]])
+    return StructuredBlockForm(n, b, d1, d2, d3, Fraction(0))
 
-    if kind is MatrixKind.LAPLACIAN:
-        l1 = RationalMatrix.block([
-            [(n - 1) * imat(2) - swap2(), -jmat(2, n - 3)],
-            [-jmat(n - 3, 2), 2 * imat(n - 3)],
-        ])
-        l2 = RationalMatrix.block([[-ones_col(2)], [zmat(n - 3, 1)]])
-        return StructuredBlockForm(kind, n, b, l1, zmat(n - 1, n - 1), l2, Fraction(2 * b))
 
-    if kind is MatrixKind.RMAT:
-        r1 = RationalMatrix.block([
-            [
-                (n - 5) * (n - 2) * (b - 1) * imat(2)
-                + (n - 2) * (b - (n - 5)) * swap2(),
-                -((n - 4) * b - 2) * jmat(2, n - 3),
-            ],
-            [
-                -((n - 4) * b - 2) * jmat(n - 3, 2),
-                b * (n - 6) * imat(n - 3) + (b - (n - 5)) * jmat(n - 3, n - 3),
-            ],
-        ])
-        r2 = RationalMatrix.block([
-            [-(n - 5) * (n - 2) * jmat(2, 2), 2 * jmat(2, n - 3)],
-            [2 * jmat(n - 3, 2), -(n - 5) * jmat(n - 3, n - 3)],
-        ])
-        r3 = RationalMatrix.block([
-            [(n - 6) * ((n - 4) * b - (n - 3)) * ones_col(2)],
-            [-b * (n - 6) * ones_col(n - 3)],
-        ])
-        corner = Fraction(-(n - 5) * (n - 6) * (b - 1) ** 2)
-        return StructuredBlockForm(kind, n, b, r1, r2, r3, corner)
+def tnb_laplacian(n: int, b: int) -> StructuredBlockForm:
+    """Block form of the book family's Laplacian."""
+    _require_book(n, b)
+    l1 = RationalMatrix.block([
+        [(n - 1) * imat(2) - swap2(), -jmat(2, n - 3)],
+        [-jmat(n - 3, 2), 2 * imat(n - 3)],
+    ])
+    l2 = RationalMatrix.block([[-ones_col(2)], [zmat(n - 3, 1)]])
+    return StructuredBlockForm(n, b, l1, zmat(n - 1, n - 1), l2, Fraction(2 * b))
 
-    raise ValueError(f"no structured builder for kind {kind!r}")
+
+def tnb_rmat(n: int, b: int) -> StructuredBlockForm:
+    """Block form of the book family's correction matrix R in
+    D^-1 = -L/2 + J/(2b) + R/(2(n-6)b)."""
+    _require_book(n, b)
+    r1 = RationalMatrix.block([
+        [
+            (n - 5) * (n - 2) * (b - 1) * imat(2)
+            + (n - 2) * (b - (n - 5)) * swap2(),
+            -((n - 4) * b - 2) * jmat(2, n - 3),
+        ],
+        [
+            -((n - 4) * b - 2) * jmat(n - 3, 2),
+            b * (n - 6) * imat(n - 3) + (b - (n - 5)) * jmat(n - 3, n - 3),
+        ],
+    ])
+    r2 = RationalMatrix.block([
+        [-(n - 5) * (n - 2) * jmat(2, 2), 2 * jmat(2, n - 3)],
+        [2 * jmat(n - 3, 2), -(n - 5) * jmat(n - 3, n - 3)],
+    ])
+    r3 = RationalMatrix.block([
+        [(n - 6) * ((n - 4) * b - (n - 3)) * ones_col(2)],
+        [-b * (n - 6) * ones_col(n - 3)],
+    ])
+    corner = Fraction(-(n - 5) * (n - 6) * (b - 1) ** 2)
+    return StructuredBlockForm(n, b, r1, r2, r3, corner)
 
 
 def tnb_product_identities(x: StructuredBlockForm) -> list:
@@ -327,7 +330,7 @@ def tnb_product_identities(x: StructuredBlockForm) -> list:
     x D3; corner b D3^T X3.  Every product is of order n - 1, so the check
     costs the same for every b."""
     b, size = x.b, x.n - 1
-    d = tnb_structured(MatrixKind.DISTANCE, x.n, b)
+    d = tnb_distance(x.n, b)
     d1, d2, d3 = d.diag_block, d.offdiag_block, d.border_col
     x1, x2, x3 = x.diag_block, x.offdiag_block, x.border_col
     d3t, x3t = d3.transpose(), x3.transpose()
@@ -368,11 +371,9 @@ def tnb_inverse(n: int, b: int, verify_product: bool = True) -> RationalMatrix:
 
 
 def _tnb_inverse_blocks(n: int, b: int) -> StructuredBlockForm:
-    _require_book(n, b)
-    if n == 6:
-        raise SingularFamilyError("distance matrix singular (n=6, b>=2)")
-    lap = tnb_structured(MatrixKind.LAPLACIAN, n, b)
-    rmat = tnb_structured(MatrixKind.RMAT, n, b)
+    _require_invertible_book(n, b)
+    lap = tnb_laplacian(n, b)
+    rmat = tnb_rmat(n, b)
     size = n - 1
     j_weight = Fraction(1, 2 * b)
     r_weight = Fraction(1, 2 * (n - 6) * b)
@@ -380,17 +381,15 @@ def _tnb_inverse_blocks(n: int, b: int) -> StructuredBlockForm:
     x2 = j_weight * jmat(size, size) + r_weight * rmat.offdiag_block
     x3 = -lap.border_col / 2 + j_weight * ones_col(size) + r_weight * rmat.border_col
     corner = -lap.corner / 2 + j_weight + r_weight * rmat.corner
-    return StructuredBlockForm(MatrixKind.XMAT, n, b, x1, x2, x3, corner)
+    return StructuredBlockForm(n, b, x1, x2, x3, corner)
 
 
 def tnb_xblocks(n: int, b: int) -> StructuredBlockForm:
     """The inverse's block description written out directly (the X displays),
     rather than combined from L, J and R.  Materializes to the same matrix as
     ``tnb_inverse``; the suites assert that equality.  As in
-    ``tnb_structured``, n = 3 needs no branch of its own."""
-    _require_book(n, b)
-    if n == 6:
-        raise SingularFamilyError("distance matrix singular (n=6, b>=2)")
+    ``tnb_distance``, n = 3 needs no branch of its own."""
+    _require_invertible_book(n, b)
     scale = Fraction(1, 2 * b * (n - 6))
     x1 = scale * RationalMatrix.block([
         [
@@ -411,4 +410,4 @@ def tnb_xblocks(n: int, b: int) -> StructuredBlockForm:
         [-(b - 1) * ones_col(n - 3)],
     ]) / (2 * b)
     corner = Fraction(-n * (b - 1) ** 2 + (3 * b * b - 10 * b + 6), 2 * b)
-    return StructuredBlockForm(MatrixKind.XMAT, n, b, x1, x2, x3, corner)
+    return StructuredBlockForm(n, b, x1, x2, x3, corner)

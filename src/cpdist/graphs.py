@@ -46,13 +46,6 @@ class CompleteBipartite:
 
 
 @dataclass(frozen=True)
-class Star:
-    """K_{n,1}: n leaves 1..n and hub n+1."""
-
-    n: int
-
-
-@dataclass(frozen=True)
 class Tree:
     """Arbitrary tree given by its edge list on vertices 1..max(label)."""
 
@@ -64,7 +57,7 @@ class K4:
     pass
 
 
-FamilySpec = Union[TnSingle, TnBook, CompleteBipartite, Star, Tree, K4]
+FamilySpec = Union[TnSingle, TnBook, CompleteBipartite, Tree, K4]
 
 
 @dataclass(frozen=True)
@@ -151,11 +144,6 @@ def build_family(spec: FamilySpec) -> Graph:
             raise GraphError("complete bipartite parts must be nonempty")
         edges = [(i, spec.m + j) for i in range(1, spec.m + 1) for j in range(1, spec.n + 1)]
         return Graph.from_edges(spec.m + spec.n, edges, spec)
-    if isinstance(spec, Star):
-        if spec.n < 1:
-            raise GraphError("star needs at least one leaf")
-        hub = spec.n + 1
-        return Graph.from_edges(hub, [(leaf, hub) for leaf in range(1, hub)], spec)
     if isinstance(spec, Tree):
         return _build_tree(spec)
     if isinstance(spec, K4):

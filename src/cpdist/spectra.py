@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closed_form import MatrixKind, tnb_structured
+from .closed_form import tnb_rmat
 from .graphs import tnb_partition
 from .linalg import CharPoly, RationalMatrix, SpectrumClaim, char_poly_exact
 
@@ -97,7 +97,7 @@ def principal_submatrix(part: str, n: int, b: int) -> RationalMatrix:
     labels = part_indices(part, n, b)
     if not labels:
         raise ValueError("empty index set")
-    full = tnb_structured(MatrixKind.RMAT, n, b).materialize()
+    full = tnb_rmat(n, b).materialize()
     zero_based = [v - 1 for v in labels]
     return full.submatrix(zero_based)
 

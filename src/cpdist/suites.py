@@ -254,9 +254,9 @@ def _recognizer_cells(seed: int = DEFAULT_SEED):
 
     def tnb_blockform(n: int, b: int):
         g = gr.build_family(gr.TnBook(n, b))
-        dist = cf.tnb_structured(cf.MatrixKind.DISTANCE, n, b).materialize()
+        dist = cf.tnb_distance(n, b).materialize()
         _expect_equal(dist, gr.all_pairs_distances(g), f"book distance block form ({n},{b})")
-        lap = cf.tnb_structured(cf.MatrixKind.LAPLACIAN, n, b).materialize()
+        lap = cf.tnb_laplacian(n, b).materialize()
         _expect_equal(lap, gr.laplacian(g), f"book laplacian block form ({n},{b})")
         _expect_equal(
             g.edge_count, b * (2 * n - 3), f"book edge count ({n},{b})"
@@ -525,7 +525,7 @@ def _inverses_cells(seed: int = DEFAULT_SEED):
     def tnb_inverse_cell(n: int, b: int):
         order = b * (n - 1) + 1
         x = cf.tnb_inverse(n, b, verify_product=False)
-        dist = cf.tnb_structured(cf.MatrixKind.DISTANCE, n, b).materialize()
+        dist = cf.tnb_distance(n, b).materialize()
         _expect_equal(imat(order), dist * x, f"book inverse product ({n},{b})")
         _expect_equal(inverse_exact(dist), x, f"book inverse oracle ({n},{b})")
         _expect_equal(

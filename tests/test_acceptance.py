@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 from cpdist.closed_form import (
-    MatrixKind,
     SingularFamilyError,
     kmn_det,
     kmn_distance,
@@ -19,8 +18,8 @@ from cpdist.closed_form import (
     tn_inverse,
     tn_rmat,
     tnb_det,
+    tnb_distance,
     tnb_inverse,
-    tnb_structured,
     tnb_xblocks,
     tree_det,
     tree_inverse,
@@ -129,7 +128,7 @@ def test_criterion_05_book_inverse_grid():
             for b in range(2, 6):
                 size = n - 1
                 x = tnb_inverse(n, b, verify_product=False)
-                dist = tnb_structured(MatrixKind.DISTANCE, n, b)
+                dist = tnb_distance(n, b)
                 assert dist.materialize() * x == imat(b * size + 1)
                 d1, d2, d3 = dist.diag_block, dist.offdiag_block, dist.border_col
                 blocks = tnb_xblocks(n, b)
@@ -239,7 +238,7 @@ def test_criterion_10_structured_assembly_performance():
         # Report-only comparison: generic exact Gauss-Jordan, run at a far
         # smaller order because the full 3501x3501 elimination is infeasible.
         comparison_b = 10
-        dist = tnb_structured(MatrixKind.DISTANCE, 8, comparison_b).materialize()
+        dist = tnb_distance(8, comparison_b).materialize()
         start = time.perf_counter()
         generic = inverse_exact(dist)
         gauss_s = time.perf_counter() - start

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,6 @@ from cpdist.linalg import RationalMatrix, imat
 from cpdist.graphs import (
     K4,
     CompleteBipartite,
-    Star,
     TnBook,
     TnSingle,
     Tree,
@@ -100,11 +100,15 @@ class TestBookCsv:
     """Book matrices are written from their block form; the bytes must be
     those of the dense matrix the form materializes to."""
 
-    @pytest.mark.parametrize("kind", [cf.MatrixKind.DISTANCE, cf.MatrixKind.LAPLACIAN,
-                                      cf.MatrixKind.RMAT])
+    @pytest.mark.parametrize("build", [
+        # ids keep the names under which these cases are reported
+        pytest.param(cf.tnb_distance, id="MatrixKind.DISTANCE"),
+        pytest.param(cf.tnb_laplacian, id="MatrixKind.LAPLACIAN"),
+        pytest.param(cf.tnb_rmat, id="MatrixKind.RMAT"),
+    ])
     @pytest.mark.parametrize("n,b", BOOK_SIZES)
-    def test_structured_kinds(self, kind, n, b):
-        form = cf.tnb_structured(kind, n, b)
+    def test_structured_kinds(self, build, n, b):
+        form = build(n, b)
         assert _matrix_csv(form) == _matrix_csv(form.materialize())
 
     @pytest.mark.parametrize("n,b", BOOK_SIZES)
@@ -365,7 +369,7 @@ FAMILY_CASES = {
         [{"m": 1, "n": 1}, {"m": 1, "n": 3}, {"m": 3, "n": 1}, {"m": 2, "n": 3}, {"m": 2, "n": 2}],
         {"m": 1, "n": 1},
     ),
-    "star": (Star, [{"n": 1}, {"n": 4}], {"n": 1}),
+    "star": (lambda n: CompleteBipartite(n, 1), [{"n": 1}, {"n": 4}], {"n": 1}),
     "tree": (
         lambda n, seed: Tree(random_tree_edges(n, Lcg(seed))),
         [{"n": 2, "seed": 42}, {"n": 9, "seed": 7}],
@@ -385,6 +389,31 @@ def family_argv(family, sizes):
 
 def test_family_cases_cover_the_table():
     assert set(FAMILY_CASES) == set(FAMILIES)
+
+
+def test_family_order_in_usage_error(capsys):
+    # argparse offers the --family choices in table order.
+    assert list(FAMILIES) == ["tn", "tn-book", "kmn", "star", "tree", "k4"]
+    assert main(["det", "--family", "nope"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: argument --family: invalid choice: ")
+    assert re.findall(r"[\w-]+", err.split("choose from", 1)[1]) == list(FAMILIES)
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+@pytest.mark.parametrize("command", [
+    ["gen", "--kind", "dist"], ["gen", "--kind", "lap"], ["det", "--json", "-"], ["inv"],
+])
+def test_star_is_kmn_with_one_hub(command, n, capsys):
+    results = []
+    star = ["--family", "star", "--n", str(n)]
+    kmn = ["--family", "kmn", "--m", str(n), "--n", "1"]
+    for family in (star, kmn):
+        code = main(command + family)
+        captured = capsys.readouterr()
+        results.append((code, captured.out, captured.err))
+    assert results[0] == results[1]
+    assert results[0][0] == 0 and results[0][1]
 
 
 @pytest.mark.parametrize("family,sizes", [

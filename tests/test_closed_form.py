@@ -9,7 +9,6 @@ import pytest
 import cpdist
 import cpdist.closed_form as cf
 from cpdist.closed_form import (
-    MatrixKind,
     SingularFamilyError,
     kmn_det,
     kmn_distance,
@@ -20,15 +19,16 @@ from cpdist.closed_form import (
     tn_laplacian,
     tn_rmat,
     tnb_det,
+    tnb_distance,
     tnb_inverse,
-    tnb_structured,
+    tnb_laplacian,
+    tnb_rmat,
     tnb_xblocks,
     tree_det,
     tree_inverse,
 )
 from cpdist.graphs import (
     CompleteBipartite,
-    Star,
     Tree,
     TnBook,
     TnSingle,
@@ -72,7 +72,7 @@ class TestTreeFormulas:
 
     def test_star_on_five_vertices(self):
         # K_{4,1}: det oracle and formula agree at 32
-        g = build_family(Star(4))
+        g = build_family(CompleteBipartite(4, 1))
         d = all_pairs_distances(g)
         assert det_exact(d) == 32
         assert tree_det(g) == 32
@@ -184,7 +184,7 @@ class TestBookDeterminant:
 
 class TestBookStructuredForms:
     def test_distance_blocks_n4(self):
-        form = tnb_structured(MatrixKind.DISTANCE, 4, 2)
+        form = tnb_distance(4, 2)
         assert form.diag_block == RationalMatrix.from_rows([
             [0, 1, 1],
             [1, 0, 1],
@@ -198,7 +198,7 @@ class TestBookStructuredForms:
         assert form.border_col == RationalMatrix.from_rows([[1], [1], [2]])
         assert form.corner == 0
         # n = 3 keeps only the base blocks of the same display
-        form = tnb_structured(MatrixKind.DISTANCE, 3, 2)
+        form = tnb_distance(3, 2)
         assert form.diag_block == swap2()
         assert form.offdiag_block == 2 * jmat(2, 2)
         assert form.border_col == ones_col(2)
@@ -206,38 +206,38 @@ class TestBookStructuredForms:
 
     @pytest.mark.parametrize("b", range(2, 6))
     def test_correction_blocks_n3(self, b):
-        form = tnb_structured(MatrixKind.RMAT, 3, b)
+        form = tnb_rmat(3, b)
         assert form.diag_block == -2 * (b - 1) * imat(2) + (b + 2) * swap2()
         assert form.offdiag_block == 2 * jmat(2, 2)
         assert form.border_col == 3 * b * ones_col(2)
         assert form.corner == -6 * (b - 1) ** 2
 
     def test_laplacian_blocks_n5_b3(self):
-        form = tnb_structured(MatrixKind.LAPLACIAN, 5, 3)
+        form = tnb_laplacian(5, 3)
         assert form.corner == 6
         assert form.border_col == RationalMatrix.from_rows([[-1], [-1], [0], [0]])
         assert form.offdiag_block == zmat(4, 4)
         for b in range(2, 6):
-            form = tnb_structured(MatrixKind.LAPLACIAN, 3, b)
+            form = tnb_laplacian(3, b)
             assert form.diag_block == 2 * imat(2) - swap2()
             assert form.offdiag_block == zmat(2, 2)
             assert form.border_col == -ones_col(2)
             assert form.corner == 2 * b
 
     def test_materialization_is_symmetric(self):
-        for kind in (MatrixKind.DISTANCE, MatrixKind.LAPLACIAN, MatrixKind.RMAT):
-            assert tnb_structured(kind, 5, 3).materialize().is_symmetric()
+        for build in (tnb_distance, tnb_laplacian, tnb_rmat):
+            assert build(5, 3).materialize().is_symmetric()
 
     def test_materialization_matches_graphs(self):
         for n, b in ((3, 2), (4, 3), (6, 2), (8, 4)):
             g = build_family(TnBook(n, b))
-            dist = tnb_structured(MatrixKind.DISTANCE, n, b).materialize()
+            dist = tnb_distance(n, b).materialize()
             assert dist == all_pairs_distances(g)
-            lap = tnb_structured(MatrixKind.LAPLACIAN, n, b).materialize()
+            lap = tnb_laplacian(n, b).materialize()
             assert lap == laplacian(g)
 
     def test_order(self):
-        assert tnb_structured(MatrixKind.DISTANCE, 8, 500).order == 3501
+        assert tnb_distance(8, 500).order == 3501
 
 
 class TestBookInverse:
@@ -272,7 +272,7 @@ class TestBookInverse:
 
     @pytest.mark.parametrize("n,b", [(3, 2), (4, 2), (5, 2), (7, 3)])
     def test_proof_block_identities(self, n, b):
-        dist = tnb_structured(MatrixKind.DISTANCE, n, b)
+        dist = tnb_distance(n, b)
         x = tnb_xblocks(n, b)
         size = n - 1
         d1, d2, d3 = dist.diag_block, dist.offdiag_block, dist.border_col

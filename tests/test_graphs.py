@@ -12,7 +12,6 @@ from cpdist.graphs import (
     Graph,
     GraphError,
     K4,
-    Star,
     Tree,
     TnBook,
     TnSingle,
@@ -61,11 +60,6 @@ class TestBuildFamily:
         g = build_family(CompleteBipartite(1, 1))
         assert all_pairs_distances(g) == RationalMatrix.from_rows([[0, 1], [1, 0]])
 
-    def test_star_is_complete_bipartite(self):
-        star = build_family(Star(3))
-        knm = build_family(CompleteBipartite(3, 1))
-        assert star.edges == knm.edges
-
     def test_rejects_small_parameters(self):
         with pytest.raises(GraphError):
             build_family(TnSingle(2))
@@ -75,8 +69,6 @@ class TestBuildFamily:
             build_family(TnBook(3, 1))
         with pytest.raises(GraphError):
             build_family(CompleteBipartite(0, 3))
-        with pytest.raises(GraphError):
-            build_family(Star(0))
 
     def test_rejects_bad_trees(self):
         with pytest.raises(GraphError, match="disconnected"):
