@@ -13,7 +13,8 @@ the file afresh.
 
 Layers: L0 the exact kernels, L1 the closed forms with their self-checks,
 L2 single verify suites, L3 whole commands (``verify --suite all``, a large
-book ``inv``, a large book and a large K_{m,n} ``gen``, the Tier-1 test run)
+book ``inv``, a large book and a large K_{m,n} ``gen``, a large book
+``bench``, the Tier-1 test run)
 and the end-to-end metrics of every perfbench workload, run in 10 pairs that
 alternate which side goes first.  A run takes about 45 minutes on 2 vCPUs.
 """
@@ -37,12 +38,13 @@ L0_SIZES = ((4, 5), (8, 5), (8, 10))
 L0_CALLS = 5
 SUITE_RUNS = 3
 # Whole commands, each timed in fresh processes: the order-3501 book
-# inverse, the order-2101 book distance matrix and the order-701 K_{m,n}
-# distance matrix.
+# inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
+# distance matrix and the order-7001 book inverse assembly.
 COMMANDS = (
     ("inv", "--family", "tn-book", "--n", "8", "--b", "500"),
     ("gen", "--family", "tn-book", "--n", "8", "--b", "300", "--kind", "dist"),
     ("gen", "--family", "kmn", "--m", "350", "--n", "351"),
+    ("bench", "--n", "8", "--b", "1000"),
 )
 COMMAND_RUNS = 3
 COMMAND_TIMEOUT_S = 60
@@ -83,11 +85,20 @@ def l0_rows(tree: Path, rev: str) -> list:
 
 def l1_rows(tree: Path, rev: str) -> list:
     setup = "from cpdist import closed_form as cf"
-    cases = [("tnb_inverse", {"n": 8, "b": 50}, "cf.tnb_inverse(8, 50)"),
-             ("kmn_inverse", {"m": 100, "n": 100}, "cf.kmn_inverse(100, 100)")]
+    cases = [("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
+              "cf.tnb_inverse(8, 50)"),
+             ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,
+              "cf.kmn_inverse(100, 100)"),
+             # The order-7001 expansion bench times, with the collector off
+             # as bench runs it, so the row shows the copying alone.
+             ("StructuredBlockForm.materialize", {"n": 8, "b": 1000, "form": "tnb_xblocks",
+                                                  "gc": "disabled"},
+              f"{setup}\nimport gc\ngc.disable()\nform = cf.tnb_xblocks(8, 1000)",
+              "form.materialize()")]
     return [{"layer": "L1", "name": name,
-             "params": {**params, "self_check": "default", "rev": rev, "stat": "median of 3 calls"},
-             "ms": _median_ms(tree, setup, call, 3)} for name, params, call in cases]
+             "params": {**params, "rev": rev, "stat": "median of 3 calls"},
+             "ms": _median_ms(tree, case_setup, call, 3)}
+            for name, params, case_setup, call in cases]
 
 
 def _suite_ms(tree: Path, suite: str) -> list:
@@ -111,8 +122,10 @@ def command_row(tree: Path, rev: str, argv: tuple) -> dict:
     params = {"rev": rev, "stat": f"median wall time of {COMMAND_RUNS} processes"}
     times = []
     with tempfile.TemporaryDirectory() as tmp:
+        # bench writes JSON; the other commands write CSV.
+        out = ["--json", f"{tmp}/out.json"] if argv[0] == "bench" else ["--out", f"{tmp}/out.csv"]
         code = ("import sys\nfrom cpdist.cli import main\n"
-                f"sys.exit(main({list(argv) + ['--out', f'{tmp}/out.csv']!r}))")
+                f"sys.exit(main({list(argv) + out!r}))")
         for _ in range(COMMAND_RUNS):
             start = time.perf_counter()
             try:

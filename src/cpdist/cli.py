@@ -17,9 +17,11 @@ rows.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
@@ -309,6 +311,37 @@ def _cmd_spectrum(args) -> int:
     return 0 if check.ok else 3
 
 
+@contextmanager
+def _gc_paused():
+    """Keep the cyclic collector off for the block, then restore the caller's
+    state, as ``timeit`` does.  Bench's dense matrices are thousands of fresh
+    row lists that cannot be garbage; every 700 of them would otherwise
+    trigger a collection that walks all their pointers."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _bench_timings(n: int, b: int, order: int) -> tuple:
+    """(assembly_ms, gauss_ms, agree) for the book inverse: the generic
+    comparison runs only up to ``BENCH_GAUSS_ORDER_CAP``.  The matrices die
+    when this returns."""
+    start = time.perf_counter()
+    assembled = cf.tnb_inverse(n, b, verify_product=False)
+    assembly_ms = int((time.perf_counter() - start) * 1000)
+    if order > BENCH_GAUSS_ORDER_CAP:
+        return assembly_ms, None, None
+    dist = cf.tnb_distance(n, b).materialize()
+    start = time.perf_counter()
+    generic = inverse_exact(dist)
+    gauss_ms = int((time.perf_counter() - start) * 1000)
+    return assembly_ms, gauss_ms, generic == assembled
+
+
 def _cmd_bench(args) -> int:
     n = args.n if args.n is not None else 8
     b = args.b if args.b is not None else 500
@@ -316,22 +349,15 @@ def _cmd_bench(args) -> int:
         raise UsageError("bench needs --n >= 3 and --b >= 2")
     order = b * (n - 1) + 1
     try:
-        start = time.perf_counter()
-        assembled = cf.tnb_inverse(n, b, verify_product=False)
-        assembly_ms = int((time.perf_counter() - start) * 1000)
+        # Called inside the block so its matrices are freed before the
+        # collector comes back and leave it nothing to do.
+        with _gc_paused():
+            assembly_ms, gauss_ms, agree = _bench_timings(n, b, order)
     except cf.SingularFamilyError as err:
         print(f"singular: {err}", file=sys.stderr)
         return 2
-    gauss_ms = None
     skipped = None
-    agree = None
-    if order <= BENCH_GAUSS_ORDER_CAP:
-        dist = cf.tnb_distance(n, b).materialize()
-        start = time.perf_counter()
-        generic = inverse_exact(dist)
-        gauss_ms = int((time.perf_counter() - start) * 1000)
-        agree = generic == assembled
-    else:
+    if gauss_ms is None:
         skipped = (
             f"generic exact inversion skipped at order {order} "
             f"(cap {BENCH_GAUSS_ORDER_CAP}); rerun with a smaller --b for the comparison"

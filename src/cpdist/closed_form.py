@@ -68,20 +68,21 @@ class StructuredBlockForm:
     def materialize(self) -> RationalMatrix:
         """Expand to the dense matrix by block replication.
 
-        Rows are built with list repetition and slice assignment so the cost
-        is one pointer copy per output entry; Fraction objects are shared."""
+        Each output row is a copy of its bordered off-diagonal template row,
+        built once at full length, with the diagonal block row slice-assigned
+        in place, so the cost is one pointer copy per output entry and no row
+        regrows; Fraction objects are shared."""
         size = self.n - 1
         b = self.b
         diag_rows = self.diag_block.data
-        off_rows = self.offdiag_block.data
         border = [row[0] for row in self.border_col.data]
+        templates = [row * b + [hub] for row, hub in zip(self.offdiag_block.data, border)]
         data = []
         for k in range(b):
             lo = k * size
-            for i in range(size):
-                row = off_rows[i] * b
-                row[lo:lo + size] = diag_rows[i]
-                row.append(border[i])
+            for template, diag in zip(templates, diag_rows):
+                row = template.copy()
+                row[lo:lo + size] = diag
                 data.append(row)
         data.append(border * b + [self.corner])
         order = b * size + 1

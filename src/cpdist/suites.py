@@ -204,7 +204,8 @@ def _check_metric_invariants(g: gr.Graph, **params) -> None:
         "nonnegative integers", "other", f"{location}: distance entries",
     )
     if n <= 40:
-        d = dist.data
+        # The entries are integers (checked above): compare them as ints.
+        d = [[e.numerator for e in row] for row in dist.data]
         ok = all(
             d[i][j] <= d[i][k] + d[k][j]
             for i in range(n) for j in range(n) for k in range(n)
@@ -220,9 +221,9 @@ def _check_metric_invariants(g: gr.Graph, **params) -> None:
     for i in range(n):
         for j in range(n):
             expected = (
-                Fraction(degrees[i]) if i == j
-                else Fraction(-1) if (min(i + 1, j + 1), max(i + 1, j + 1)) in g.edges
-                else Fraction(0)
+                degrees[i] if i == j
+                else -1 if (min(i + 1, j + 1), max(i + 1, j + 1)) in g.edges
+                else 0
             )
             if lap.data[i][j] != expected:
                 adjacency_ok = False

@@ -1,6 +1,7 @@
 """Command-line behavior: formats, exit codes, determinism, fault injection."""
 
 import dataclasses
+import gc
 import json
 import re
 from fractions import Fraction
@@ -9,6 +10,7 @@ import pytest
 
 import cpdist.cli as cli
 import cpdist.closed_form as cf
+import cpdist.graphs as gr
 from cpdist.cli import FAMILIES, _matrix_csv, main
 from cpdist.linalg import RationalMatrix, imat
 from cpdist.graphs import (
@@ -263,6 +265,30 @@ class TestVerify:
             assert failure["actual"] == f"ArithmeticError: injected at ({n}, {b})"
             assert f"'n': {n}, 'b': {b}" in failure["location"]
 
+    def test_triangle_violation_fails_metric_invariants(self, capsys, monkeypatch):
+        all_pairs_distances = gr.all_pairs_distances
+
+        def stretched(g):
+            # d(1, n) = 2n exceeds d(1, k) + d(k, n) for any third vertex k.
+            dist = all_pairs_distances(g)
+            n = dist.rows
+            data = [row.copy() for row in dist.data]
+            if n >= 3:
+                data[0][n - 1] = data[n - 1][0] = Fraction(2 * n)
+            return RationalMatrix(n, n, data)
+
+        monkeypatch.setattr(gr, "all_pairs_distances", stretched)
+        assert main(["verify", "--suite", "recognizer", "--json", "-"]) == 3
+        payload = json.loads(capsys.readouterr().out)
+        cells = [p for p in payload["grid"] if p["check"] == "metric-invariants"]
+        failures = [f for f in payload["failures"] if f["params"]["check"] == "metric-invariants"]
+        # K_{1,1} has no third vertex; every other corpus graph fails.
+        assert len(failures) == len(cells) - 1
+        for failure in failures:
+            assert failure["expected"] == "triangle inequality"
+            assert failure["actual"] == "violated"
+            assert failure["location"].endswith(": triangle inequality")
+
     def test_matrix_mismatch_names_first_differing_entry(self, capsys, monkeypatch):
         tnb_xblocks = cf.tnb_xblocks
 
@@ -322,6 +348,36 @@ class TestBench:
     def test_singular_bench_refused(self, capsys):
         assert main(["bench", "--n", "6", "--b", "2"]) == 2
         assert "singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("sizes,code", [
+        (["--n", "5", "--b", "2"], 0),  # with the Gauss-Jordan comparison
+        (["--n", "8", "--b", "50"], 0),  # above the cap
+        (["--n", "6", "--b", "2"], 2),  # singular
+    ])
+    def test_collector_state_is_restored(self, enabled, sizes, code, capsys):
+        was_enabled = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["bench", *sizes, "--json", "-"]) == code
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_enabled else gc.disable)()
+
+    def test_collector_paused_during_assembly(self, capsys, monkeypatch):
+        tnb_inverse = cf.tnb_inverse
+        states = []
+
+        def recording(n, b, **kwargs):
+            states.append(gc.isenabled())
+            return tnb_inverse(n, b, **kwargs)
+
+        monkeypatch.setattr(cf, "tnb_inverse", recording)
+        assert gc.isenabled()
+        assert main(["bench", "--n", "5", "--b", "2", "--json", "-"]) == 0
+        assert states == [False]
+        assert gc.isenabled()
+        assert json.loads(capsys.readouterr().out)["agree"] is True
 
 
 class TestUsageErrors:

@@ -239,6 +239,21 @@ class TestBookStructuredForms:
     def test_order(self):
         assert tnb_distance(8, 500).order == 3501
 
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("n", range(3, 9))
+    def test_materialized_rows_are_distinct_lists(self, n, b):
+        form = tnb_distance(n, b)
+        dense = form.materialize()
+        rows = dense.data
+        assert len(rows) == form.order
+        assert len({id(row) for row in rows}) == form.order
+        assert all(len(row) == form.order for row in rows)
+        before = [row.copy() for row in rows]
+        rows[0][0] = Fraction(-1)
+        assert rows[1:] == before[1:]
+        if n != 6:
+            assert tnb_xblocks(n, b).materialize() == tnb_inverse(n, b, verify_product=False)
+
 
 class TestBookInverse:
     @pytest.mark.parametrize("n,b", [(3, 2), (5, 2), (4, 3), (7, 2)])
