@@ -9,12 +9,16 @@ be exported with ``git archive REV | tar -x -C DIR``.  Every measurement runs in
 interpreter with that checkout's ``src/`` on ``PYTHONPATH``, so the two
 sides never share a module.  Each row is ``{layer, name, params, ms}``,
 with ``params.rev`` naming the side, one row per line; each run writes
-the file afresh.
+the file afresh.  Each measurement runs on the two sides back to back, so
+the drift of a shared machine falls between measurements, not between the
+sides of one.
 
-Layers: L0 the exact kernels, L1 the closed forms with their self-checks,
-L2 single verify suites, L3 whole commands (``verify --suite all``, a large
-book ``inv``, a large book and a large K_{m,n} ``gen``, a large book
-``bench``, the Tier-1 test run)
+Layers: L0 the exact kernels (the char poly of book distance matrices and
+the determinants of the oracle-scaling tree and book), L1 the closed forms
+with their self-checks, L2 single verify suites, L3 whole commands
+(``verify --suite all``, a large book ``inv``, a large book and a large
+K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``, the
+Tier-1 test run)
 and the end-to-end metrics of every perfbench workload, run in 10 pairs that
 alternate which side goes first.  A run takes about 45 minutes on 2 vCPUs.
 """
@@ -36,15 +40,24 @@ ROOT = Path(__file__).resolve().parent.parent
 # Book distance matrices of order b*(n-1)+1, as in BENCH_3.json.
 L0_SIZES = ((4, 5), (8, 5), (8, 10))
 L0_CALLS = 5
+# The distance matrices whose determinants the perfbench oracle-scaling
+# workload checks: the order-200 seed-42 tree of ``det --family tree --n 200``
+# and the order-141 book (8, 20).
+DET_MATRICES = (
+    ("tree n=200 seed=42", 200, "gr.Tree(random_tree_edges(200, Lcg(42)))"),
+    ("tn-book n=8 b=20", 141, "gr.TnBook(8, 20)"),
+)
 SUITE_RUNS = 3
 # Whole commands, each timed in fresh processes: the order-3501 book
 # inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
-# distance matrix and the order-7001 book inverse assembly.
+# distance matrix, the order-7001 book inverse assembly and the order-200
+# tree determinant against its Bareiss oracle.
 COMMANDS = (
     ("inv", "--family", "tn-book", "--n", "8", "--b", "500"),
     ("gen", "--family", "tn-book", "--n", "8", "--b", "300", "--kind", "dist"),
     ("gen", "--family", "kmn", "--m", "350", "--n", "351"),
     ("bench", "--n", "8", "--b", "1000"),
+    ("det", "--family", "tree", "--n", "200"),
 )
 COMMAND_RUNS = 3
 COMMAND_TIMEOUT_S = 60
@@ -79,6 +92,15 @@ def l0_rows(tree: Path, rev: str) -> list:
         ms = _median_ms(tree, setup, "char_poly_exact(d)", L0_CALLS)
         rows.append({"layer": "L0", "name": "char_poly_exact",
                      "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",
+                                "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+    for matrix, order, spec in DET_MATRICES:
+        setup = ("from cpdist import graphs as gr\n"
+                 "from cpdist.linalg import det_exact\n"
+                 "from cpdist.rng import Lcg, random_tree_edges\n"
+                 f"d = gr.all_pairs_distances(gr.build_family({spec}))")
+        ms = _median_ms(tree, setup, "det_exact(d)", L0_CALLS)
+        rows.append({"layer": "L0", "name": "det_exact",
+                     "params": {"order": order, "matrix": f"{matrix} distance",
                                 "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
     return rows
 
@@ -122,8 +144,9 @@ def command_row(tree: Path, rev: str, argv: tuple) -> dict:
     params = {"rev": rev, "stat": f"median wall time of {COMMAND_RUNS} processes"}
     times = []
     with tempfile.TemporaryDirectory() as tmp:
-        # bench writes JSON; the other commands write CSV.
-        out = ["--json", f"{tmp}/out.json"] if argv[0] == "bench" else ["--out", f"{tmp}/out.csv"]
+        # bench and det write JSON; the other commands write CSV.
+        out = (["--json", f"{tmp}/out.json"] if argv[0] in ("bench", "det")
+               else ["--out", f"{tmp}/out.csv"])
         code = ("import sys\nfrom cpdist.cli import main\n"
                 f"sys.exit(main({list(argv) + out!r}))")
         for _ in range(COMMAND_RUNS):
@@ -206,15 +229,15 @@ def main(argv=None) -> int:
     revs = {"before": args.before_label, "after": "after"}
     sides = (("before", args.before.resolve()), ("after", args.after.resolve()))
 
+    measures = [l0_rows, l1_rows,
+                lambda tree, rev: suite_rows(tree, rev, "L2", ("spectra", "inverses")),
+                lambda tree, rev: suite_rows(tree, rev, "L3", ("all",))]
+    measures += [lambda tree, rev, argv=argv: [command_row(tree, rev, argv)] for argv in COMMANDS]
+    measures.append(lambda tree, rev: [tier1_row(tree, rev)])
     rows = []
-    for side, tree in sides:
-        rev = revs[side]
-        rows += l0_rows(tree, rev)
-        rows += l1_rows(tree, rev)
-        rows += suite_rows(tree, rev, "L2", ("spectra", "inverses"))
-        rows += suite_rows(tree, rev, "L3", ("all",))
-        rows += [command_row(tree, rev, argv) for argv in COMMANDS]
-        rows.append(tier1_row(tree, rev))
+    for measure in measures:
+        for side, tree in sides:
+            rows += measure(tree, revs[side])
     rows += perfbench_rows(sides[0][1], sides[1][1], revs)
 
     lines = [json.dumps(row) for row in rows]

@@ -5,12 +5,14 @@ values, but the dense kernels run their inner loops on Python ints: each row
 (or, for the right factor of a product, each column) is cleared to integers
 by the LCM of its denominators, and the result is rescaled exactly once at
 the end.  Products are integer dot products with one ``Fraction`` built per
-output entry, determinants come from fraction-free Bareiss elimination,
-inverses from fraction-free Bareiss-style Gauss-Jordan with a single
-division by the last pivot, and characteristic polynomials from a reduction
-to upper Hessenberg form by similarity followed by the Hessenberg
-recurrence (both O(n^3)).  These routines double as
-the brute-force oracles for every closed-form formula in the package, so
+output entry, determinants come from fraction-free Bareiss elimination
+(on a symmetric matrix, such as every distance matrix, it updates only the
+upper triangle, and a zero pivot is repaired by swapping or adding a later
+row and column), inverses from fraction-free Bareiss-style Gauss-Jordan
+with a single division by the last pivot, and characteristic polynomials
+from a reduction to upper Hessenberg form by similarity followed by the
+Hessenberg recurrence (both O(n^3)).  These routines double as the
+brute-force oracles for every closed-form formula in the package, so
 they are generic dense algorithms and share no shortcut with the closed
 forms they check.
 """
@@ -118,12 +120,10 @@ class RationalMatrix:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
+        # Rows compare with columns as tuples, which compares entries that
+        # are one shared object by identity, without calling Fraction.__eq__.
         d = self.data
-        return all(
-            d[i][j] == d[j][i] for i in range(self.rows) for j in range(i)
-        )
+        return self.is_square and all(tuple(row) == col for row, col in zip(d, zip(*d)))
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(
@@ -242,17 +242,29 @@ def _clear_rows(rows: Iterable[Sequence[Entry]]) -> tuple:
 def det_exact(m: RationalMatrix) -> Fraction:
     """Exact determinant via fraction-free Bareiss elimination.
 
-    Each row is scaled by the LCM of its denominators first, so the
-    elimination itself runs in plain integers; the determinant is rescaled
-    at the end.  Pivots are the first nonzero entry in each column.
+    The elimination runs in plain integers and the determinant is rescaled
+    once at the end; the determinant of the 0x0 matrix is 1.  A symmetric
+    matrix (every distance matrix) takes the half-triangle path of
+    ``_det_symmetric``, which updates only the upper triangle and repairs a
+    zero pivot by a symmetric swap or addition.  Any other matrix has each
+    row scaled by the LCM of its denominators and is reduced in full, with
+    the first nonzero entry of each column as its pivot.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    n = m.rows
-    a, scales = _clear_rows(m.data)
+    if m.is_symmetric():
+        return _det_symmetric(m.data)
+    return _det_general(m.data)
+
+
+def _det_general(data: list) -> Fraction:
+    """Bareiss determinant of any square matrix, rows cleared to integers
+    and row swaps tracked in the sign."""
+    n = len(data)
+    a, scales = _clear_rows(data)
     sign = 1
     prev = 1
-    for k in range(n - 1):
+    for k in range(n):
         piv = next((r for r in range(k, n) if a[r][k] != 0), None)
         if piv is None:
             return Fraction(0)
@@ -268,7 +280,63 @@ def det_exact(m: RationalMatrix) -> Fraction:
                 row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
             row_i[k] = 0
         prev = pivot
-    return Fraction(sign * a[n - 1][n - 1], prod(scales))
+    return Fraction(sign * prev, prod(scales))
+
+
+def _det_symmetric(data: list) -> Fraction:
+    """Bareiss determinant of a symmetric matrix on its upper triangle.
+
+    Entry (i, j) is cleared to the integer d_ij * l_i * l_j, with l_i the
+    LCM of row i's denominators, so the cleared matrix stays symmetric and
+    its determinant is det(d) * prod(l_i)^2.  Elimination keeps the
+    trailing block symmetric, so ``u[i]`` holds only row i from its
+    diagonal on, and step k updates a_ij <- (p*a_ij - a_ki*a_kj) // prev
+    for j >= i > k, reading a_ki from the pivot row.  A zero pivot a_kk is
+    repaired with the first c > k that has a_kc != 0: if a_cc != 0, row
+    and column c swap with k; otherwise row and column c are added to k,
+    which makes the new a_kk = 2*a_kc.  Both are unimodular congruences on
+    trailing indices, so neither the determinant, nor its sign, nor the
+    exactness of Bareiss's divisions changes.  If row k is all zero, the
+    determinant is 0.
+    """
+    n = len(data)
+    scales = [lcm(*[e.denominator for e in row]) for row in data]
+    u = [
+        [e.numerator * (l // e.denominator) * s for e, s in zip(row[i:], scales[i:])]
+        for i, (row, l) in enumerate(zip(data, scales))
+    ]
+    prev = 1
+    for k in range(n):
+        row_k = u[k]
+        if row_k[0] == 0:
+            t = next((t for t in range(1, n - k) if row_k[t] != 0), None)
+            if t is None:
+                return Fraction(0)
+            _repair_pivot(u, k, t)
+            row_k = u[k]
+        p = row_k[0]
+        for i in range(k + 1, n):
+            f = row_k[i - k]
+            u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
+        prev = p
+    return Fraction(prev, prod(scales) ** 2)
+
+
+def _repair_pivot(u: list, k: int, t: int) -> None:
+    """Give ``_det_symmetric``'s step k a nonzero pivot from index c = k + t,
+    on the trailing block mirrored to full rows for the occasion."""
+    n = len(u)
+    block = [[u[j][r - j] for j in range(k, r)] + u[r] for r in range(k, n)]
+    if block[t][t] != 0:
+        block[0], block[t] = block[t], block[0]
+        for row in block:
+            row[0], row[t] = row[t], row[0]
+    else:
+        block[0] = [x + y for x, y in zip(block[0], block[t])]
+        for row in block:
+            row[0] += row[t]
+    for r in range(k, n):
+        u[r] = block[r - k][r - k:]
 
 
 def rank(m: RationalMatrix) -> int:

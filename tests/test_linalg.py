@@ -6,12 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cpdist.graphs import CompleteBipartite, TnBook, all_pairs_distances, build_family
 from cpdist.linalg import (
     AibjAnalysis,
     CharPoly,
     RationalMatrix,
     SingularMatrixError,
     SpectrumClaim,
+    _det_general,
+    _det_symmetric,
     aibj_analysis,
     char_poly_exact,
     det_exact,
@@ -64,6 +67,46 @@ def naive_product(a, b):
         ]
         for i in range(a.rows)
     ]
+
+
+def naive_det(m):
+    """Reference determinant by Gaussian elimination with row swaps on
+    Fraction entries, independent of linalg's integer Bareiss kernels."""
+    a = [list(row) for row in m.data]
+    n = m.rows
+    det = Fraction(1)
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, n):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+@st.composite
+def symmetric_matrices(draw):
+    """Symmetric, orders 1-9, mixed denominators; a zero diagonal, as every
+    distance matrix has, in half the draws, and sometimes a zero row and
+    column."""
+    n = draw(st.integers(1, 9))
+    rows = draw(rational_rows(n, n))
+    zero_diagonal = draw(st.booleans())
+    for i in range(n):
+        for j in range(i):
+            rows[i][j] = rows[j][i]
+        if zero_diagonal:
+            rows[i][i] = Fraction(0)
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        for i in range(n):
+            rows[z][i] = rows[i][z] = Fraction(0)
+    return RationalMatrix.from_rows(rows)
 
 
 def faddeev_leverrier(m):
@@ -150,6 +193,43 @@ class TestDeterminant:
     @given(small_int_matrix(3), small_int_matrix(3))
     def test_multiplicative(self, a, b):
         assert det_exact(a * b) == det_exact(a) * det_exact(b)
+
+    def test_empty_matrix(self):
+        # block and submatrix build 0x0 matrices; both kernels give the
+        # empty product
+        assert det_exact(imat(3).submatrix([])) == 1
+        assert det_exact(RationalMatrix.block([[zmat(0, 0)]])) == 1
+        assert _det_general([]) == _det_symmetric([]) == 1
+        assert type(det_exact(imat(0))) is Fraction
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    def test_symmetric_matches_reference(self, m):
+        assert det_exact(m) == naive_det(m) == _det_general(m.data)
+
+    @pytest.mark.parametrize("rows, det", [
+        # a_00 = 0 and a_11 != 0: row and column 1 swap with 0; adding them
+        # instead would leave the pivot 0 + 2*1 - 2 = 0
+        ([[0, 1, 2], [1, -2, 1], [2, 1, 3]], 9),
+        # the same swap at k = 1, after one elimination step
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 3]], -1),
+        # a_00 = a_11 = 0: row and column 1 are added to 0
+        ([[0, 1], [1, 0]], -1),
+        # the same addition at k = 1
+        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),
+        # row 1 of the trailing block is all zero after the first step
+        ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], 0),
+        # rows cleared by 6 and 3 must be cleared on both sides
+        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], Fraction(7, 18)),
+    ])
+    def test_symmetric_pivot_repairs(self, rows, det):
+        m = RationalMatrix.from_rows(rows)
+        assert det_exact(m) == naive_det(m) == det
+
+    @pytest.mark.parametrize("spec", [TnBook(6, 5), CompleteBipartite(2, 2)])
+    def test_singular_distance_matrices(self, spec):
+        d = all_pairs_distances(build_family(spec))
+        assert det_exact(d) == naive_det(d) == 0
 
 
 class TestInverse:
@@ -529,3 +609,12 @@ def test_block_width_comes_from_the_blocks():
     assert RationalMatrix.block([[zmat(0, 2)], [imat(2)]]) == imat(2)
     with pytest.raises(ValueError, match="block column widths differ"):
         RationalMatrix.block([[imat(2), zmat(2, 1)], [zmat(0, 2), zmat(0, 3)]])
+
+
+def test_is_symmetric_compares_values():
+    # equal entries that are distinct objects, and one shared object
+    assert RationalMatrix(2, 2, [[Fraction(0), Fraction(1, 2)], [Fraction(2, 4), Fraction(0)]]).is_symmetric()
+    assert jmat(3, 3).is_symmetric()
+    assert not RationalMatrix.from_rows([[0, 1], [2, 0]]).is_symmetric()
+    assert not jmat(2, 3).is_symmetric()
+    assert imat(0).is_symmetric()
