@@ -13,14 +13,17 @@ the file afresh.  Each measurement runs on the two sides back to back, so
 the drift of a shared machine falls between measurements, not between the
 sides of one.
 
-Layers: L0 the exact kernels (the char poly of book distance matrices and
-the determinants of the oracle-scaling tree and book), L1 the closed forms
-with their self-checks, L2 single verify suites, L3 whole commands
-(``verify --suite all``, a large book ``inv``, a large book and a large
-K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``, the
-Tier-1 test run)
-and the end-to-end metrics of every perfbench workload, run in 10 pairs that
-alternate which side goes first.  A run takes about 45 minutes on 2 vCPUs.
+Layers: L0 the exact kernels (the char poly of book distance matrices,
+the determinants of the oracle-scaling tree and book, the inverses of the
+order-71 and order-141 book distance matrices, and the claimed
+characteristic polynomial of the largest spectra-suite claim), L1 the
+closed forms with their self-checks, L2 single verify suites, L3 whole
+commands (``verify --suite all``, a large book ``inv``, a large book and a
+large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``,
+the Tier-1 test run) and the end-to-end metrics of every perfbench
+workload, run in 10 pairs that alternate which side goes first.  Suite
+rows come from fresh processes that alternate between the sides in the
+same way.  A run takes about 50 minutes on 2 vCPUs.
 """
 
 from __future__ import annotations
@@ -47,7 +50,13 @@ DET_MATRICES = (
     ("tree n=200 seed=42", 200, "gr.Tree(random_tree_edges(200, Lcg(42)))"),
     ("tn-book n=8 b=20", 141, "gr.TnBook(8, 20)"),
 )
-SUITE_RUNS = 3
+# The order-71 and order-141 book distance matrices behind the L0 inverse
+# rows (``bench --n 8 --b 10`` inverts the first).
+INVERSE_BOOKS = ((8, 10), (8, 20))
+# The spectra suite's largest claim: degree 36, a quadratic factor and
+# linear factors of multiplicity up to 30.
+CLAIM = ("NC", 10, 5)
+SUITE_PROCESSES = 5
 # Whole commands, each timed in fresh processes: the order-3501 book
 # inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
 # distance matrix, the order-7001 book inverse assembly and the order-200
@@ -102,6 +111,21 @@ def l0_rows(tree: Path, rev: str) -> list:
         rows.append({"layer": "L0", "name": "det_exact",
                      "params": {"order": order, "matrix": f"{matrix} distance",
                                 "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+    for n, b in INVERSE_BOOKS:
+        setup = ("from cpdist.graphs import TnBook, all_pairs_distances, build_family\n"
+                 "from cpdist.linalg import inverse_exact\n"
+                 f"d = all_pairs_distances(build_family(TnBook({n}, {b})))")
+        ms = _median_ms(tree, setup, "inverse_exact(d)", L0_CALLS)
+        rows.append({"layer": "L0", "name": "inverse_exact",
+                     "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",
+                                "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+    part, n, b = CLAIM
+    setup = ("from cpdist.spectra import claimed_spectrum\n"
+             f"claim = claimed_spectrum({part!r}, {n}, {b})")
+    ms = _median_ms(tree, setup, "claim.char_poly()", L0_CALLS)
+    rows.append({"layer": "L0", "name": "SpectrumClaim.char_poly",
+                 "params": {"part": part, "n": n, "b": b, "degree": b * (n - 3) + 1,
+                            "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
     return rows
 
 
@@ -123,20 +147,26 @@ def l1_rows(tree: Path, rev: str) -> list:
             for name, params, case_setup, call in cases]
 
 
-def _suite_ms(tree: Path, suite: str) -> list:
-    code = ("from cpdist.suites import run_suite\n"
-            f"print(*[run_suite({suite!r}).wall_time_ms for _ in range({SUITE_RUNS})])")
-    return [int(v) for v in _python(tree, code).split()]
+def _suite_ms(tree: Path, suite: str) -> int:
+    code = f"from cpdist.suites import run_suite\nprint(run_suite({suite!r}).wall_time_ms)"
+    return int(_python(tree, code))
 
 
-def suite_rows(tree: Path, rev: str, layer: str, suites) -> list:
+def suite_rows(sides: tuple, revs: dict, layer: str, suites) -> list:
+    """One run of each suite per fresh process, SUITE_PROCESSES per side,
+    alternating which side goes first."""
     rows = []
     for suite in suites:
-        values = _suite_ms(tree, suite)
-        rows.append({"layer": layer, "name": f"verify --suite {suite}",
-                     "params": {"rev": rev, "runs_ms": values,
-                                "stat": f"median of {SUITE_RUNS} runs in one process, report wall_time_ms"},
-                     "ms": statistics.median(values)})
+        values = {side: [] for side, _ in sides}
+        for i in range(SUITE_PROCESSES):
+            for side, tree in (sides if i % 2 == 0 else sides[::-1]):
+                values[side].append(_suite_ms(tree, suite))
+        for side, _ in sides:
+            rows.append({"layer": layer, "name": f"verify --suite {suite}",
+                         "params": {"rev": revs[side], "runs_ms": values[side],
+                                    "stat": f"median of {SUITE_PROCESSES} fresh processes alternating "
+                                            "with the other side, report wall_time_ms"},
+                         "ms": statistics.median(values[side])})
     return rows
 
 
@@ -191,7 +221,8 @@ def _perfbench(tree: Path, workload: str, seed: int) -> dict:
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def perfbench_rows(before: Path, after: Path, revs: dict) -> list:
+def perfbench_rows(sides: tuple, revs: dict) -> list:
+    trees = dict(sides)
     rows = []
     for workload in WORKLOADS:
         runs = {"before": [], "after": []}
@@ -199,7 +230,7 @@ def perfbench_rows(before: Path, after: Path, revs: dict) -> list:
         for i, seed in enumerate(seeds):
             order = ("before", "after") if i % 2 == 0 else ("after", "before")
             for side in order:
-                runs[side].append(_perfbench(before if side == "before" else after, workload, seed))
+                runs[side].append(_perfbench(trees[side], workload, seed))
         for metric in runs["before"][0]:
             values = {side: [r[metric] for r in runs[side]] for side in runs}
             wins = sum(a < b for a, b in zip(values["after"], values["before"]))
@@ -219,6 +250,11 @@ def perfbench_rows(before: Path, after: Path, revs: dict) -> list:
     return rows
 
 
+def _each_side(measure):
+    """Run a measure of one checkout on the two sides back to back."""
+    return lambda sides, revs: [row for side, tree in sides for row in measure(tree, revs[side])]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--before", type=Path, required=True)
@@ -229,16 +265,13 @@ def main(argv=None) -> int:
     revs = {"before": args.before_label, "after": "after"}
     sides = (("before", args.before.resolve()), ("after", args.after.resolve()))
 
-    measures = [l0_rows, l1_rows,
-                lambda tree, rev: suite_rows(tree, rev, "L2", ("spectra", "inverses")),
-                lambda tree, rev: suite_rows(tree, rev, "L3", ("all",))]
-    measures += [lambda tree, rev, argv=argv: [command_row(tree, rev, argv)] for argv in COMMANDS]
-    measures.append(lambda tree, rev: [tier1_row(tree, rev)])
-    rows = []
-    for measure in measures:
-        for side, tree in sides:
-            rows += measure(tree, revs[side])
-    rows += perfbench_rows(sides[0][1], sides[1][1], revs)
+    measures = [_each_side(l0_rows), _each_side(l1_rows),
+                lambda sides, revs: suite_rows(sides, revs, "L2", ("spectra", "inverses")),
+                lambda sides, revs: suite_rows(sides, revs, "L3", ("all",))]
+    measures += [_each_side(lambda tree, rev, argv=argv: [command_row(tree, rev, argv)])
+                 for argv in COMMANDS]
+    measures += [_each_side(lambda tree, rev: [tier1_row(tree, rev)]), perfbench_rows]
+    rows = [row for measure in measures for row in measure(sides, revs)]
 
     lines = [json.dumps(row) for row in rows]
     out = ROOT / f"BENCH_{args.pr}.json"

@@ -5,15 +5,18 @@ values, but the dense kernels run their inner loops on Python ints: each row
 (or, for the right factor of a product, each column) is cleared to integers
 by the LCM of its denominators, and the result is rescaled exactly once at
 the end.  Products are integer dot products with one ``Fraction`` built per
-output entry, determinants come from fraction-free Bareiss elimination
-(on a symmetric matrix, such as every distance matrix, it updates only the
-upper triangle, and a zero pivot is repaired by swapping or adding a later
-row and column), inverses from fraction-free Bareiss-style Gauss-Jordan
-with a single division by the last pivot, and characteristic polynomials
-from a reduction to upper Hessenberg form by similarity followed by the
-Hessenberg recurrence (both O(n^3)).  These routines double as the
-brute-force oracles for every closed-form formula in the package, so
-they are generic dense algorithms and share no shortcut with the closed
+output entry, determinants come from fraction-free Bareiss elimination,
+inverses from fraction-free elimination with a single division by the last
+pivot, and characteristic polynomials from a reduction to upper Hessenberg
+form by similarity followed by the Hessenberg recurrence (both O(n^3)).  A
+symmetric matrix, such as every distance matrix, is eliminated on its upper
+triangle only (a zero pivot is repaired by swapping or adding a later row
+and column), and its inverse follows by fraction-free back-substitution;
+any other matrix, and a symmetric one below the small order where that
+starts to pay, is reduced in full, its inverse by Gauss-Jordan.
+Polynomial products convolve integer coefficients.  These routines double
+as the brute-force oracles for every closed-form formula in the package,
+so they are generic dense algorithms and share no shortcut with the closed
 forms they check.
 """
 
@@ -26,6 +29,12 @@ from operator import mul
 from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
+
+# Smallest orders at which det_exact and inverse_exact send symmetric input
+# to the half-triangle kernels; below them the full reductions are faster
+# (the measured crossovers are in the docstrings of the two functions).
+_SYMMETRIC_DET_MIN_ORDER = 8
+_SYMMETRIC_INVERSE_MIN_ORDER = 4
 
 
 class SingularMatrixError(ValueError):
@@ -244,15 +253,20 @@ def det_exact(m: RationalMatrix) -> Fraction:
 
     The elimination runs in plain integers and the determinant is rescaled
     once at the end; the determinant of the 0x0 matrix is 1.  A symmetric
-    matrix (every distance matrix) takes the half-triangle path of
-    ``_det_symmetric``, which updates only the upper triangle and repairs a
-    zero pivot by a symmetric swap or addition.  Any other matrix has each
-    row scaled by the LCM of its denominators and is reduced in full, with
-    the first nonzero entry of each column as its pivot.
+    matrix (every distance matrix) of order ``_SYMMETRIC_DET_MIN_ORDER`` = 8
+    or more takes the half-triangle path of ``_det_symmetric``, which
+    updates only the upper triangle and repairs a zero pivot by a symmetric
+    swap or addition.  Any other matrix, and a smaller symmetric one, has
+    each row scaled by the LCM of its denominators and is reduced in full,
+    with the first nonzero entry of each column as its pivot.  Measured on
+    tree and K_{m,n} distance matrices (2-vCPU VM, Python 3.11), the
+    half-triangle path takes 1.06-1.37x the time of the full one at orders
+    2-5, is within 10% of it at orders 6-13 and is 1.05-1.15x faster at
+    orders 14-46.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    if m.is_symmetric():
+    if m.rows >= _SYMMETRIC_DET_MIN_ORDER and m.is_symmetric():
         return _det_symmetric(m.data)
     return _det_general(m.data)
 
@@ -284,59 +298,96 @@ def _det_general(data: list) -> Fraction:
 
 
 def _det_symmetric(data: list) -> Fraction:
-    """Bareiss determinant of a symmetric matrix on its upper triangle.
+    """Bareiss determinant of a symmetric matrix from
+    ``_bareiss_symmetric``: the last pivot over prod(l_i)^2, or 0 when a
+    trailing row is all zero."""
+    elim = _bareiss_symmetric(data)
+    if elim is None:
+        return Fraction(0)
+    u, scales, _ = elim
+    return Fraction(u[-1][0] if u else 1, prod(scales) ** 2)
+
+
+def _bareiss_symmetric(data: list):
+    """Fraction-free symmetric elimination on the upper triangle.
 
     Entry (i, j) is cleared to the integer d_ij * l_i * l_j, with l_i the
-    LCM of row i's denominators, so the cleared matrix stays symmetric and
+    LCM of row i's denominators, so the cleared matrix A stays symmetric and
     its determinant is det(d) * prod(l_i)^2.  Elimination keeps the
     trailing block symmetric, so ``u[i]`` holds only row i from its
     diagonal on, and step k updates a_ij <- (p*a_ij - a_ki*a_kj) // prev
     for j >= i > k, reading a_ki from the pivot row.  A zero pivot a_kk is
-    repaired with the first c > k that has a_kc != 0: if a_cc != 0, row
-    and column c swap with k; otherwise row and column c are added to k,
-    which makes the new a_kk = 2*a_kc.  Both are unimodular congruences on
-    trailing indices, so neither the determinant, nor its sign, nor the
-    exactness of Bareiss's divisions changes.  If row k is all zero, the
-    determinant is 0.
+    repaired with the first c > k that has a_kc != 0 (``_repair_pivot``):
+    if a_cc != 0, row and column c swap with k; otherwise row and column c
+    are added to k, which makes the new a_kk = 2*a_kc.  Both are unimodular
+    congruences, so neither the determinant, nor its sign, nor the
+    exactness of Bareiss's divisions changes.
+
+    Returns ``(u, scales, repairs)``: the finished rows of the Bareiss
+    elimination of B = E^T A E, where E is the product of the logged
+    repairs ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] (the
+    last one det B = det A), and the row scales l_i.  Returns None when a
+    trailing row is all zero, that is when the matrix is singular.
     """
     n = len(data)
-    scales = [lcm(*[e.denominator for e in row]) for row in data]
-    u = [
-        [e.numerator * (l // e.denominator) * s for e, s in zip(row[i:], scales[i:])]
-        for i, (row, l) in enumerate(zip(data, scales))
-    ]
+    dens = [[e.denominator for e in row] for row in data]
+    scales = [lcm(*row) for row in dens]
+    if any(l != 1 for l in scales):
+        u = [
+            [e.numerator * (l // d) * s for e, d, s in zip(row[i:], drow[i:], scales[i:])]
+            for i, (row, drow, l) in enumerate(zip(data, dens, scales))
+        ]
+    else:
+        u = [[e.numerator for e in row[i:]] for i, row in enumerate(data)]
+    repairs = []
     prev = 1
     for k in range(n):
         row_k = u[k]
         if row_k[0] == 0:
             t = next((t for t in range(1, n - k) if row_k[t] != 0), None)
             if t is None:
-                return Fraction(0)
-            _repair_pivot(u, k, t)
+                return None
+            repairs.append(_repair_pivot(u, k, t))
             row_k = u[k]
         p = row_k[0]
         for i in range(k + 1, n):
             f = row_k[i - k]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
-    return Fraction(prev, prod(scales) ** 2)
+    return u, scales, repairs
 
 
-def _repair_pivot(u: list, k: int, t: int) -> None:
-    """Give ``_det_symmetric``'s step k a nonzero pivot from index c = k + t,
-    on the trailing block mirrored to full rows for the occasion."""
-    n = len(u)
-    block = [[u[j][r - j] for j in range(k, r)] + u[r] for r in range(k, n)]
-    if block[t][t] != 0:
-        block[0], block[t] = block[t], block[0]
-        for row in block:
-            row[0], row[t] = row[t], row[0]
+def _repair_pivot(u: list, k: int, t: int) -> tuple:
+    """Give step k of ``_bareiss_symmetric`` a nonzero pivot from index
+    c = k + t in place, and return the repair ``(k, c, is_swap)``.
+
+    Only row and column k and c of the trailing block change: the new row k
+    is built from column c (its entries above row c read from rows k..c-1),
+    and a swap also moves row k into row c and column k into column c.  The
+    column operation also reaches the finished rows r < k, entries k-r and
+    c-r of ``u[r]``: determinants never read them, but back-substitution
+    does.
+    """
+    c = k + t
+    row_k = u[k]
+    col_c = [u[j][c - j] for j in range(k, c)] + u[c]
+    swap = col_c[t] != 0
+    if swap:
+        col_c[0], col_c[t] = col_c[t], col_c[0]
+        for i in range(k + 1, c):
+            u[i][c - i] = row_k[i - k]
+        u[k], u[c] = col_c, [row_k[0]] + row_k[t + 1:]
+        for r in range(k):
+            row = u[r]
+            row[k - r], row[c - r] = row[c - r], row[k - r]
     else:
-        block[0] = [x + y for x, y in zip(block[0], block[t])]
-        for row in block:
-            row[0] += row[t]
-    for r in range(k, n):
-        u[r] = block[r - k][r - k:]
+        row = [x + y for x, y in zip(row_k, col_c)]
+        row[0] += row[t]
+        u[k] = row
+        for r in range(k):
+            row = u[r]
+            row[k - r] += row[c - r]
+    return k, c, swap
 
 
 def rank(m: RationalMatrix) -> int:
@@ -361,7 +412,82 @@ def rank(m: RationalMatrix) -> int:
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via fraction-free (Bareiss-style) Gauss-Jordan.
+    """Exact inverse by fraction-free elimination; a singular matrix raises
+    ``SingularMatrixError`` carrying its rank, and the 0x0 matrix is its
+    own inverse.
+
+    A symmetric matrix (every distance matrix) of order
+    ``_SYMMETRIC_INVERSE_MIN_ORDER`` = 4 or more takes
+    ``_inverse_symmetric``: the half-triangle Bareiss elimination that
+    ``det_exact`` also runs, then fraction-free back-substitution on the
+    upper triangle, about n^3/2 bigint products against Gauss-Jordan's
+    3n^3/2.  Any other matrix, and a smaller symmetric one, takes the
+    Bareiss-style Gauss-Jordan of ``_inverse_general``.  Measured on tree
+    and K_{m,n} distance matrices (2-vCPU VM, Python 3.11), the symmetric
+    path takes 1.1-1.7x the time of Gauss-Jordan at orders 2-3 and is
+    faster from order 4 on: 1.0-1.4x at orders 4-7, about 1.8x at order 12
+    and 3.3-4.3x on the book distance matrices of orders 46-141.
+    """
+    if not m.is_square:
+        raise ValueError("inverse requires a square matrix")
+    if m.rows >= _SYMMETRIC_INVERSE_MIN_ORDER and m.is_symmetric():
+        return _inverse_symmetric(m)
+    return _inverse_general(m)
+
+
+def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
+    """Inverse of a symmetric matrix from ``_bareiss_symmetric``.
+
+    With U the Bareiss rows of B = E^T A E (pivots p_k, p_{-1} = 1, and
+    d = p_{n-1} = det B), X = d * B^-1 is the adjugate of B, an integer
+    matrix, and U X = d * diag(p_{k-1}) times a unit upper triangle.  So
+    column j follows by back-substitution from the bottom up:
+
+        X_jj = (d*p_{j-1} - sum_{l>j} U_jl X_lj) // p_j
+        X_ij = -(sum_{l>i} U_il X_lj) // p_i          for i < j,
+
+    with every division exact, and the entries X_lj with l > j mirrored
+    from the columns already finished.  The logged repairs are undone in
+    reverse (X <- Q X Q^T for each repair's column operation Q), which
+    leaves d * A^-1, and A = L m L gives m^-1 = L (d A^-1) L / d.
+    """
+    elim = _bareiss_symmetric(m.data)
+    if elim is None:
+        raise SingularMatrixError("singular matrix", rank(m))
+    u, scales, repairs = elim
+    n = len(u)
+    pivots = [row[0] for row in u]
+    d = pivots[-1] if n else 1
+    # tails[i] lists U_il for l = n-1 down to i+1, aligned with a column
+    # built from the bottom up.
+    tails = [row[:0:-1] for row in u]
+    x = [None] * n
+    for j in range(n - 1, -1, -1):
+        col = [x[l][j] for l in range(n - 1, j, -1)]
+        col.append((d * (pivots[j - 1] if j else 1) - sum(map(mul, tails[j], col))) // pivots[j])
+        for i in range(j - 1, -1, -1):
+            col.append(-sum(map(mul, tails[i], col)) // pivots[i])
+        col.reverse()
+        x[j] = col
+    for k, c, swap in reversed(repairs):
+        if swap:
+            x[k], x[c] = x[c], x[k]
+            for row in x:
+                row[k], row[c] = row[c], row[k]
+        else:
+            x[c] = [a + b for a, b in zip(x[c], x[k])]
+            for row in x:
+                row[c] += row[k]
+    # The inverse is symmetric: build each entry once and mirror it.
+    upper = [
+        [Fraction(v * l * s, d) for v, s in zip(row[i:], scales[i:])]
+        for i, (row, l) in enumerate(zip(x, scales))
+    ]
+    return RationalMatrix(n, n, [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(n)])
+
+
+def _inverse_general(m: RationalMatrix) -> RationalMatrix:
+    """Inverse via fraction-free (Bareiss-style) Gauss-Jordan.
 
     The rows of m are cleared to integers (row i times its denominator LCM
     l_i) and the integer matrix [L m | I] is reduced: at step k every row
@@ -370,15 +496,12 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     pivot, and every division is exact.  The left block ends as
     d*I with d the last pivot, so the right block is d * (L m)^-1 and the
     inverse is that block over d with column j scaled back by l_j.  The
-    pivot is the first nonzero entry in its column; a singular matrix
-    raises ``SingularMatrixError`` carrying its rank.
+    pivot is the first nonzero entry in its column.
 
     Columns already eliminated hold only the known diagonal, so each row
     keeps just its columns k.. of m followed by the n columns of the
     identity block.
     """
-    if not m.is_square:
-        raise ValueError("inverse requires a square matrix")
     n = m.rows
     a, scales = _clear_rows(m.data)
     for i, row in enumerate(a):
@@ -435,18 +558,27 @@ class CharPoly:
         return acc
 
     def __mul__(self, other: "CharPoly") -> "CharPoly":
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-        return CharPoly(tuple(out))
+        # Each factor is cleared by the LCM of its denominators, the integer
+        # coefficient lists are convolved, and each output coefficient is
+        # one Fraction over the product of the two LCMs.
+        (a, b), (la, lb) = _clear_rows((self.coeffs, other.coeffs))
+        den = la * lb
+        return CharPoly(tuple(Fraction(c, den) for c in _convolve(a, b)))
 
     def __pow__(self, exponent: int) -> "CharPoly":
-        result = CharPoly.one()
-        for _ in range(exponent):
-            result = result * self
-        return result
+        """Repeated squaring on the cleared integer coefficients."""
+        if exponent < 0:
+            raise ValueError("exponent must be non-negative")
+        (base,), (l,) = _clear_rows((self.coeffs,))
+        den = l ** exponent
+        result = [1]
+        while exponent:
+            if exponent & 1:
+                result = _convolve(result, base)
+            exponent >>= 1
+            if exponent:
+                base = _convolve(base, base)
+        return CharPoly(tuple(Fraction(c, den) for c in result))
 
     def divide_by(self, divisor: "CharPoly") -> tuple:
         """Exact division by a monic divisor: (quotient, remainder coeffs)."""
@@ -485,6 +617,17 @@ class CharPoly:
         for sign, body in terms[1:]:
             out += f" {sign} {body}"
         return out
+
+
+def _convolve(a: list, b: list) -> list:
+    """Coefficients of the product of two integer polynomials, ascending:
+    entry k is sum_i a[i] * b[k-i], one dot product against b reversed."""
+    rb = b[::-1]
+    nb = len(b)
+    return [
+        sum(map(mul, a[max(0, k - nb + 1):k + 1], rb[max(0, nb - 1 - k):]))
+        for k in range(len(a) + nb - 1)
+    ]
 
 
 def _primitive(row: list, den: int) -> tuple:
@@ -623,10 +766,16 @@ class SpectrumClaim:
         base = sum(mult for _, mult in self.pairs)
         return base + (2 if self.quadratic is not None else 0)
 
-    def char_poly(self) -> CharPoly:
+    def linear_factors(self) -> CharPoly:
+        """Product of (x - value)^mult over the pairs, without the
+        quadratic factor."""
         poly = CharPoly.one()
         for value, mult in self.pairs:
-            poly = poly * (CharPoly.linear(value) ** mult)
+            poly = poly * CharPoly.linear(value) ** mult
+        return poly
+
+    def char_poly(self) -> CharPoly:
+        poly = self.linear_factors()
         if self.quadratic is not None:
             poly = poly * self.quadratic
         return poly

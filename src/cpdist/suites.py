@@ -572,12 +572,6 @@ def _spectra_cells(seed: int = DEFAULT_SEED):
     def part_order(part: str, n: int, b: int) -> int:
         return {"B": 2 * b, "N": b * (n - 3), "NC": b * (n - 3) + 1}[part]
 
-    def linear_factor_product(claim) -> CharPoly:
-        poly = CharPoly.one()
-        for value, mult in claim.pairs:
-            poly = poly * (CharPoly.linear(value) ** mult)
-        return poly
-
     def spectrum_cell(part: str, n: int, b: int):
         claim = sp.claimed_spectrum(part, n, b)
         _expect_equal(
@@ -596,7 +590,7 @@ def _spectra_cells(seed: int = DEFAULT_SEED):
                 f"quadratic division {part} ({n},{b})",
             )
             _expect_equal(
-                linear_factor_product(claim), quotient, f"quadratic quotient {part} ({n},{b})"
+                claim.linear_factors(), quotient, f"quadratic quotient {part} ({n},{b})"
             )
 
     cells = [

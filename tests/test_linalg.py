@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdist.graphs import CompleteBipartite, TnBook, all_pairs_distances, build_family
+from cpdist.closed_form import tnb_inverse, tree_inverse
+from cpdist.graphs import CompleteBipartite, TnBook, Tree, all_pairs_distances, build_family
 from cpdist.linalg import (
     AibjAnalysis,
     CharPoly,
@@ -15,6 +16,8 @@ from cpdist.linalg import (
     SpectrumClaim,
     _det_general,
     _det_symmetric,
+    _inverse_general,
+    _inverse_symmetric,
     aibj_analysis,
     char_poly_exact,
     det_exact,
@@ -29,8 +32,27 @@ from cpdist.linalg import (
     swap2,
     zmat,
 )
-from cpdist.rng import Lcg, random_invertible, random_matrix, random_rank_one
-from cpdist.spectra import PARTS, principal_submatrix
+from cpdist.rng import Lcg, random_invertible, random_matrix, random_rank_one, random_tree_edges
+from cpdist.spectra import PARTS, claimed_spectrum, principal_submatrix
+
+
+# Symmetric matrices that need each pivot repair of _bareiss_symmetric, with
+# their determinants.
+SYMMETRIC_REPAIRS = [
+    # a_00 = 0 and a_11 != 0: row and column 1 swap with 0; adding them
+    # instead would leave the pivot 0 + 2*1 - 2 = 0
+    ([[0, 1, 2], [1, -2, 1], [2, 1, 3]], 9),
+    # the same swap at k = 1, after one elimination step
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 3]], -1),
+    # a_00 = a_11 = 0: row and column 1 are added to 0
+    ([[0, 1], [1, 0]], -1),
+    # the same addition at k = 1
+    ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),
+    # row 1 of the trailing block is all zero after the first step
+    ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], 0),
+    # rows cleared by 6 and 3 must be cleared on both sides
+    ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], Fraction(7, 18)),
+]
 
 
 def small_int_matrix(order):
@@ -87,6 +109,45 @@ def naive_det(m):
             ratio = a[i][k] / a[k][k]
             a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
     return det
+
+
+def naive_inverse(m):
+    """Reference inverse by Gauss-Jordan with row swaps on [m | I] in
+    Fraction entries, independent of linalg's integer kernels; None when m
+    is singular."""
+    n = m.rows
+    a = [list(row) + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m.data)]
+    for k in range(n):
+        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+        if piv is None:
+            return None
+        a[k], a[piv] = a[piv], a[k]
+        pivot = a[k][k]
+        a[k] = [x / pivot for x in a[k]]
+        for i in range(n):
+            f = a[i][k]
+            if i != k and f != 0:
+                a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return [row[n:] for row in a]
+
+
+def inverse_or_rank(inverse, m):
+    """The rows of ``inverse(m)``, or the rank its SingularMatrixError
+    carries."""
+    try:
+        return inverse(m).data
+    except SingularMatrixError as err:
+        return err.rank
+
+
+def naive_poly_product(a, b):
+    """Reference product of two ascending coefficient tuples, one Fraction
+    multiply-add per pair of terms."""
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return tuple(out)
 
 
 @st.composite
@@ -205,26 +266,14 @@ class TestDeterminant:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_matrices())
     def test_symmetric_matches_reference(self, m):
-        assert det_exact(m) == naive_det(m) == _det_general(m.data)
+        # det_exact sends orders below 8 to _det_general, so the symmetric
+        # kernel is also called directly
+        assert det_exact(m) == naive_det(m) == _det_general(m.data) == _det_symmetric(m.data)
 
-    @pytest.mark.parametrize("rows, det", [
-        # a_00 = 0 and a_11 != 0: row and column 1 swap with 0; adding them
-        # instead would leave the pivot 0 + 2*1 - 2 = 0
-        ([[0, 1, 2], [1, -2, 1], [2, 1, 3]], 9),
-        # the same swap at k = 1, after one elimination step
-        ([[1, 1, 1], [1, 1, 2], [1, 2, 3]], -1),
-        # a_00 = a_11 = 0: row and column 1 are added to 0
-        ([[0, 1], [1, 0]], -1),
-        # the same addition at k = 1
-        ([[1, 1, 1], [1, 1, 2], [1, 2, 1]], -1),
-        # row 1 of the trailing block is all zero after the first step
-        ([[1, 1, 1], [1, 1, 1], [1, 1, 2]], 0),
-        # rows cleared by 6 and 3 must be cleared on both sides
-        ([[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), 1]], Fraction(7, 18)),
-    ])
+    @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
     def test_symmetric_pivot_repairs(self, rows, det):
         m = RationalMatrix.from_rows(rows)
-        assert det_exact(m) == naive_det(m) == det
+        assert det_exact(m) == naive_det(m) == _det_symmetric(m.data) == det
 
     @pytest.mark.parametrize("spec", [TnBook(6, 5), CompleteBipartite(2, 2)])
     def test_singular_distance_matrices(self, spec):
@@ -324,6 +373,72 @@ class TestInverse:
             assert inv * a == imat(order)
 
 
+class TestSymmetricInverse:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_matrices())
+    def test_symmetric_matches_reference(self, m):
+        # inverse_exact sends orders below 4 to _inverse_general, so the
+        # symmetric kernel is also called directly
+        expected = naive_inverse(m)
+        if expected is None:
+            expected = rank(m)
+            assert expected < m.rows
+        assert (
+            inverse_or_rank(inverse_exact, m)
+            == inverse_or_rank(_inverse_symmetric, m)
+            == inverse_or_rank(_inverse_general, m)
+            == expected
+        )
+
+    @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
+    def test_symmetric_pivot_repairs(self, rows, det):
+        m = RationalMatrix.from_rows(rows)
+        expected = naive_inverse(m) if det else rank(m)
+        assert inverse_or_rank(_inverse_symmetric, m) == inverse_or_rank(inverse_exact, m) == expected
+
+    def test_add_repair_reaches_finished_rows(self):
+        # After step 0, entries (1, 1), (1, 2) and (3, 3) of the trailing
+        # block are 0 and (1, 3) is 1, so step 1 adds row and column 3 to 1.
+        # Column 1 of the finished row 0 must gain its column-3 entry too,
+        # or back-substitution inverts a different matrix.
+        m = RationalMatrix.from_rows([[1, 1, 1, 2], [1, 1, 1, 3], [1, 1, 3, 6], [2, 3, 6, 4]])
+        inverse = naive_inverse(m)
+        assert inverse is not None
+        assert _inverse_symmetric(m).data == inverse_exact(m).data == inverse
+
+    def test_swap_repair_reaches_finished_rows(self):
+        # The same, but with (3, 3) nonzero, so step 1 swaps row and column
+        # 3 with 1: row 0 exchanges its entries 1 and 3, and row 2, between
+        # the two, exchanges its entries in columns 1 and 3.
+        m = RationalMatrix.from_rows([[1, 1, 1, 2], [1, 1, 1, 3], [1, 1, 3, 6], [2, 3, 6, 5]])
+        inverse = naive_inverse(m)
+        assert inverse is not None
+        assert _inverse_symmetric(m).data == inverse_exact(m).data == inverse
+
+    def test_empty_and_one_by_one(self):
+        assert inverse_exact(imat(0)) == _inverse_symmetric(imat(0)) == imat(0)
+        m = RationalMatrix.from_rows([[Fraction(-3, 4)]])
+        assert inverse_exact(m) == _inverse_symmetric(m) == RationalMatrix.from_rows([[Fraction(-4, 3)]])
+        zero = zmat(1, 1)
+        assert inverse_or_rank(_inverse_symmetric, zero) == inverse_or_rank(inverse_exact, zero) == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 12, 30])
+    def test_tree_distance_matrices(self, n):
+        tree = build_family(Tree(random_tree_edges(n, Lcg(n))))
+        d = all_pairs_distances(tree)
+        assert inverse_exact(d) == _inverse_general(d) == tree_inverse(tree)
+
+    def test_book_distance_matrix(self):
+        d = all_pairs_distances(build_family(TnBook(8, 10)))
+        assert d.rows == 71
+        assert inverse_exact(d) == _inverse_general(d) == tnb_inverse(8, 10)
+
+    @pytest.mark.parametrize("spec", [TnBook(6, 5), CompleteBipartite(2, 2)])
+    def test_singular_distance_matrices(self, spec):
+        d = all_pairs_distances(build_family(spec))
+        assert inverse_or_rank(inverse_exact, d) == inverse_or_rank(_inverse_general, d) == rank(d)
+
+
 class TestRank:
     def test_full(self):
         assert rank(imat(3)) == 3
@@ -419,6 +534,50 @@ class TestCharPoly:
     def test_non_monic_rejected(self):
         with pytest.raises(ValueError):
             CharPoly((Fraction(1), Fraction(2)))
+
+
+def monic_polys(max_degree):
+    return st.lists(rationals, max_size=max_degree).map(
+        lambda coeffs: CharPoly(tuple(coeffs) + (Fraction(1),))
+    )
+
+
+class TestCharPolyArithmetic:
+    @settings(max_examples=100, deadline=None)
+    @given(monic_polys(6), monic_polys(6))
+    def test_product_matches_reference(self, p, q):
+        product = p * q
+        assert product.coeffs == naive_poly_product(p.coeffs, q.coeffs)
+        assert all(type(c) is Fraction for c in product.coeffs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(monic_polys(3), st.integers(0, 40))
+    def test_power_matches_reference(self, p, exponent):
+        expected = (Fraction(1),)
+        for _ in range(exponent):
+            expected = naive_poly_product(expected, p.coeffs)
+        power = p ** exponent
+        assert power.coeffs == expected
+        assert all(type(c) is Fraction for c in power.coeffs)
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(ValueError):
+            CharPoly.linear(2) ** -1
+
+    @pytest.mark.parametrize("part", PARTS)
+    def test_claimed_spectra_match_reference(self, part):
+        for n in range(3 if part == "B" else 4, 11):
+            for b in range(2, 6):
+                claim = claimed_spectrum(part, n, b)
+                linear = (Fraction(1),)
+                for value, mult in claim.pairs:
+                    for _ in range(mult):
+                        linear = naive_poly_product(linear, (-value, Fraction(1)))
+                assert claim.linear_factors().coeffs == linear, (part, n, b)
+                full = linear
+                if claim.quadratic is not None:
+                    full = naive_poly_product(linear, claim.quadratic.coeffs)
+                assert claim.char_poly().coeffs == full, (part, n, b)
 
 
 class TestSchurInverse:
