@@ -15,8 +15,10 @@ sides of one.
 
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
-order-71 and order-141 book distance matrices, and the claimed
-characteristic polynomial of the largest spectra-suite claim), L1 the
+order-71 and order-141 book distance matrices, the claimed
+characteristic polynomial of the largest spectra-suite claim, and the
+non-symmetric determinant, inverse and rank of random integer matrices
+of orders 3-71 and the rank of a singular one), L1 the
 closed forms with their self-checks, L2 single verify suites, L3 whole
 commands (``verify --suite all``, a large book ``inv``, a large book and a
 large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``,
@@ -43,6 +45,11 @@ ROOT = Path(__file__).resolve().parent.parent
 # Book distance matrices of order b*(n-1)+1, as in BENCH_3.json.
 L0_SIZES = ((4, 5), (8, 5), (8, 10))
 L0_CALLS = 5
+# The general-path kernels take microseconds to milliseconds, so their
+# medians take more samples, and below order 30 each sample averages
+# GENERAL_REPEAT calls.
+GENERAL_CALLS = 21
+GENERAL_REPEAT = 100
 # The distance matrices whose determinants the perfbench oracle-scaling
 # workload checks: the order-200 seed-42 tree of ``det --family tree --n 200``
 # and the order-141 book (8, 20).
@@ -56,6 +63,11 @@ INVERSE_BOOKS = ((8, 10), (8, 20))
 # The spectra suite's largest claim: degree 36, a quadratic factor and
 # linear factors of multiplicity up to 30.
 CLAIM = ("NC", 10, 5)
+# Orders of the non-symmetric ``random_invertible(Lcg(1), order)`` matrices
+# behind the general-path det, inverse and rank rows, and a singular
+# order-30 matrix of rank 20 for the rank row that skips columns.
+GENERAL_ORDERS = (3, 8, 30, 71)
+SINGULAR_RANK = "random_matrix(Lcg(1), 30, 20) * random_matrix(Lcg(2), 20, 30)"
 SUITE_PROCESSES = 5
 # Whole commands, each timed in fresh processes: the order-3501 book
 # inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
@@ -83,11 +95,14 @@ def _python(tree: Path, code: str, timeout=None) -> str:
     return proc.stdout
 
 
-def _median_ms(tree: Path, setup: str, call: str, calls: int) -> float:
+def _median_ms(tree: Path, setup: str, call: str, calls: int, repeat: int = 1) -> float:
+    """Median time of one ``call`` over ``calls`` samples, each the mean of
+    ``repeat`` calls in a row."""
     code = (f"import time\n{setup}\nts = []\nfor _ in range({calls}):\n"
-            f"    t = time.perf_counter(); {call}; ts.append(time.perf_counter() - t)\n"
+            f"    t = time.perf_counter()\n    for _ in range({repeat}): {call}\n"
+            f"    ts.append((time.perf_counter() - t) / {repeat})\n"
             "import statistics; print(statistics.median(ts) * 1000)")
-    return round(float(_python(tree, code)), 3)
+    return round(float(_python(tree, code)), 4)
 
 
 def l0_rows(tree: Path, rev: str) -> list:
@@ -119,6 +134,22 @@ def l0_rows(tree: Path, rev: str) -> list:
         rows.append({"layer": "L0", "name": "inverse_exact",
                      "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",
                                 "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+    for order in GENERAL_ORDERS:
+        setup = ("from cpdist.linalg import det_exact, inverse_exact, rank\n"
+                 "from cpdist.rng import Lcg, random_invertible\n"
+                 f"m = random_invertible(Lcg(1), {order})")
+        repeat = GENERAL_REPEAT if order < 30 else 1
+        stat = f"median of {GENERAL_CALLS} samples, each the mean of {repeat} calls"
+        for name in ("det_exact", "inverse_exact", "rank"):
+            ms = _median_ms(tree, setup, f"{name}(m)", GENERAL_CALLS, repeat)
+            rows.append({"layer": "L0", "name": name,
+                         "params": {"order": order, "matrix": "random_invertible(Lcg(1), order)",
+                                    "rev": rev, "stat": stat}, "ms": ms})
+    setup = f"from cpdist.linalg import rank\nfrom cpdist.rng import Lcg, random_matrix\nm = {SINGULAR_RANK}"
+    ms = _median_ms(tree, setup, "rank(m)", GENERAL_CALLS)
+    rows.append({"layer": "L0", "name": "rank",
+                 "params": {"order": 30, "matrix": f"order 30 rank 20, {SINGULAR_RANK}", "rev": rev,
+                            "stat": f"median of {GENERAL_CALLS} calls"}, "ms": ms})
     part, n, b = CLAIM
     setup = ("from cpdist.spectra import claimed_spectrum\n"
              f"claim = claimed_spectrum({part!r}, {n}, {b})")

@@ -4,7 +4,7 @@ The package builds the supported graph families (triangle fans, fan books
 glued at a hub, complete bipartite graphs, trees, K4), evaluates their
 closed-form distance determinants and inverses over exact rational
 arithmetic, and verifies every formula against independent brute-force
-oracles (Bareiss determinants, Gauss-Jordan inverses, characteristic
+oracles (Bareiss determinants, ranks and inverses, characteristic
 polynomials by Hessenberg reduction and the Hessenberg recurrence).
 """
 

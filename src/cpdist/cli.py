@@ -4,7 +4,7 @@ Subcommands: ``gen`` (write a matrix as CSV), ``det`` (closed-form vs oracle
 determinant), ``inv`` (closed-form inverse as CSV, refusing singular
 requests), ``verify`` (run a named suite, emit a JSON report), ``spectrum``
 (claimed vs computed factorization) and ``bench`` (structured inverse
-assembly vs generic Gauss-Jordan).
+assembly vs the generic Bareiss inverse).
 
 Exit codes: 0 success, 1 usage error, 2 mathematically singular request,
 3 verification failure: a ``det`` or ``spectrum`` mismatch, a failed

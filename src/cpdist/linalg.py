@@ -5,15 +5,15 @@ values, but the dense kernels run their inner loops on Python ints: each row
 (or, for the right factor of a product, each column) is cleared to integers
 by the LCM of its denominators, and the result is rescaled exactly once at
 the end.  Products are integer dot products with one ``Fraction`` built per
-output entry, determinants come from fraction-free Bareiss elimination,
-inverses from fraction-free elimination with a single division by the last
-pivot, and characteristic polynomials from a reduction to upper Hessenberg
-form by similarity followed by the Hessenberg recurrence (both O(n^3)).  A
-symmetric matrix, such as every distance matrix, is eliminated on its upper
-triangle only (a zero pivot is repaired by swapping or adding a later row
-and column), and its inverse follows by fraction-free back-substitution;
-any other matrix, and a symmetric one below the small order where that
-starts to pay, is reduced in full, its inverse by Gauss-Jordan.
+output entry, determinants, ranks and inverses come from fraction-free
+Bareiss elimination (inverses by fraction-free back-substitution and a
+single division by the last pivot), and characteristic polynomials from a
+reduction to upper Hessenberg form by similarity followed by the Hessenberg
+recurrence (both O(n^3)).  A symmetric matrix, such as every distance
+matrix, is eliminated on its upper triangle only (a zero pivot is repaired
+by swapping or adding a later row and column); any other matrix, and a
+symmetric one below the small order where that starts to pay, is
+eliminated in full by one routine that skips pivotless columns.
 Polynomial products convolve integer coefficients.  These routines double
 as the brute-force oracles for every closed-form formula in the package,
 so they are generic dense algorithms and share no shortcut with the closed
@@ -259,10 +259,10 @@ def det_exact(m: RationalMatrix) -> Fraction:
     swap or addition.  Any other matrix, and a smaller symmetric one, has
     each row scaled by the LCM of its denominators and is reduced in full,
     with the first nonzero entry of each column as its pivot.  Measured on
-    tree and K_{m,n} distance matrices (2-vCPU VM, Python 3.11), the
-    half-triangle path takes 1.06-1.37x the time of the full one at orders
-    2-5, is within 10% of it at orders 6-13 and is 1.05-1.15x faster at
-    orders 14-46.
+    tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU VM, Python
+    3.11), the half-triangle path takes 1.08-1.38x the time of the full one
+    at orders 2-5, is within 5% of it at orders 6-9 and is 1.02-1.18x
+    faster at orders 10-20.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -272,29 +272,52 @@ def det_exact(m: RationalMatrix) -> Fraction:
 
 
 def _det_general(data: list) -> Fraction:
-    """Bareiss determinant of any square matrix, rows cleared to integers
-    and row swaps tracked in the sign."""
+    """Bareiss determinant of any square matrix from ``_bareiss_general``,
+    rows cleared to integers: 0 unless every column pivots."""
     n = len(data)
     a, scales = _clear_rows(data)
-    sign = 1
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][k] != 0), None)
+    r, sign = _bareiss_general(a, n)
+    if r < n:
+        return Fraction(0)
+    return Fraction(sign * (a[-1][-1] if n else 1), prod(scales))
+
+
+def _bareiss_general(a: list, width: int) -> tuple:
+    """Bareiss elimination of the integer rows ``a`` in place, with row
+    swaps; returns ``(rank, sign)``, the number of pivots and the sign of
+    the row permutation.
+
+    Step r pivots on the first nonzero entry p at or below row r in the
+    next column c < ``width`` that has one (later columns ride along), and
+    every later row i becomes a_ij <- (p*a_ij - a_ic*a_rj) // prev for
+    j > c, with prev the previous pivot.  A column with no pivot is skipped,
+    as in the fraction-free echelon form of Nakos, Turner and Williams
+    (1997): its entries from row r down are 0 and are never read again, so
+    every entry is still a minor (Sylvester's identity) and every division
+    exact.  At full rank on the first n = len(a) columns the leading block
+    ends upper triangular, its last pivot sign * its determinant.
+    """
+    n = len(a)
+    r, sign, prev = 0, 1, 1
+    for c in range(width):
+        piv = next((i for i in range(r, n) if a[i][c] != 0), None)
         if piv is None:
-            return Fraction(0)
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
             sign = -sign
-        pivot = a[k][k]
-        row_k = a[k]
-        for i in range(k + 1, n):
-            row_i = a[i]
-            factor = row_i[k]
-            for j in range(k + 1, n):
-                row_i[j] = (row_i[j] * pivot - factor * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pivot
-    return Fraction(sign * prev, prod(scales))
+        row_r = a[r]
+        p, end = row_r[c], len(row_r)
+        for row_i in a[r + 1:]:
+            f = row_i[c]
+            for j in range(c + 1, end):
+                row_i[j] = (row_i[j] * p - f * row_r[j]) // prev
+            row_i[c] = 0
+        prev = p
+        r += 1
+        if r == n:
+            break
+    return r, sign
 
 
 def _det_symmetric(data: list) -> Fraction:
@@ -391,24 +414,10 @@ def _repair_pivot(u: list, k: int, t: int) -> tuple:
 
 
 def rank(m: RationalMatrix) -> int:
-    """Rank over the rationals by row echelon reduction."""
-    a = [list(row) for row in m.data]
-    r = 0
-    for c in range(m.cols):
-        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pivot = a[r][c]
-        for i in range(r + 1, m.rows):
-            f = a[i][c]
-            if f:
-                ratio = f / pivot
-                a[i] = [x - ratio * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == m.rows:
-            break
-    return r
+    """Rank over the rationals: the number of pivots ``_bareiss_general``
+    finds in the rows cleared to integers."""
+    a, _ = _clear_rows(m.data)
+    return _bareiss_general(a, m.cols)[0]
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
@@ -420,13 +429,13 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     ``_SYMMETRIC_INVERSE_MIN_ORDER`` = 4 or more takes
     ``_inverse_symmetric``: the half-triangle Bareiss elimination that
     ``det_exact`` also runs, then fraction-free back-substitution on the
-    upper triangle, about n^3/2 bigint products against Gauss-Jordan's
-    3n^3/2.  Any other matrix, and a smaller symmetric one, takes the
-    Bareiss-style Gauss-Jordan of ``_inverse_general``.  Measured on tree
-    and K_{m,n} distance matrices (2-vCPU VM, Python 3.11), the symmetric
-    path takes 1.1-1.7x the time of Gauss-Jordan at orders 2-3 and is
-    faster from order 4 on: 1.0-1.4x at orders 4-7, about 1.8x at order 12
-    and 3.3-4.3x on the book distance matrices of orders 46-141.
+    upper triangle, about n^3/2 bigint products.  Any other matrix, and a
+    smaller symmetric one, takes ``_inverse_general``: the full Bareiss
+    elimination of [L m | I] and back-substitution, about 4n^3/3.
+    Measured on tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU
+    VM, Python 3.11), the symmetric path takes 1.04-1.26x the time of the
+    full one at orders 2-3 and is faster from order 4 on: 1.04-1.05x at
+    order 4, 1.3-1.5x at orders 7-12 and 1.6-1.85x at orders 13-20.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
@@ -487,44 +496,34 @@ def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
 
 
 def _inverse_general(m: RationalMatrix) -> RationalMatrix:
-    """Inverse via fraction-free (Bareiss-style) Gauss-Jordan.
+    """Inverse of any square matrix from ``_bareiss_general``.
 
-    The rows of m are cleared to integers (row i times its denominator LCM
-    l_i) and the integer matrix [L m | I] is reduced: at step k every row
-    but the pivot row becomes (p*x - f*y) // prev, where p is the pivot, f
-    the row's entry in column k, y the pivot row and prev the previous
-    pivot, and every division is exact.  The left block ends as
-    d*I with d the last pivot, so the right block is d * (L m)^-1 and the
-    inverse is that block over d with column j scaled back by l_j.  The
-    pivot is the first nonzero entry in its column.
-
-    Columns already eliminated hold only the known diagonal, so each row
-    keeps just its columns k.. of m followed by the n columns of the
-    identity block.
+    With row i of m cleared by its denominator LCM l_i, A = L m, the
+    elimination of [A | I] leaves [U | Y] with U upper triangular, its
+    pivots p_i on the diagonal and d = p_{n-1}.  X = d * A^-1 is +- the
+    adjugate of A, an integer matrix, and solves U X = d Y, so row by row
+    from the bottom up X_ij = (d*Y_ij - sum_{l>i} U_il X_lj) // p_i, every
+    division exact; entry (i, j) of m^-1 = A^-1 L is X_ij * l_j / d.
     """
     n = m.rows
     a, scales = _clear_rows(m.data)
     for i, row in enumerate(a):
         row.extend(1 if i == j else 0 for j in range(n))
-    prev = 1
-    for k in range(n):
-        piv = next((r for r in range(k, n) if a[r][0] != 0), None)
-        if piv is None:
-            raise SingularMatrixError("singular matrix", rank(m))
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-        row_k = a[k]
-        p = row_k[0]
-        del row_k[0]
-        for i in range(n):
-            if i != k:
-                # Rows with f = 0 are rescaled by p/prev all the same.
-                row_i = a[i]
-                f = row_i[0]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(row_i[1:], row_k)]
-        prev = p
+    r, _ = _bareiss_general(a, n)
+    if r < n:
+        raise SingularMatrixError("singular matrix", r)
+    d = a[-1][n - 1] if n else 1
+    # cols[j] holds X_lj for l = n-1 down to i+1 when row i is solved, and
+    # u lists U_il in the same order.
+    cols = [[] for _ in range(n)]
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        p = row[i]
+        u = row[n - 1:i:-1]
+        for col, y in zip(cols, row[n:]):
+            col.append((d * y - sum(map(mul, u, col))) // p)
     return RationalMatrix(
-        n, n, [[Fraction(x * l, prev) for x, l in zip(row, scales)] for row in a]
+        n, n, [[Fraction(col[-1 - i] * l, d) for col, l in zip(cols, scales)] for i in range(n)]
     )
 
 

@@ -235,7 +235,7 @@ def test_criterion_10_structured_assembly_performance():
         assert assembled.rows == 3501
         assert assembly_s < 1.0, f"assembly took {assembly_s:.2f}s, budget 1s"
 
-        # Report-only comparison: generic exact Gauss-Jordan, run at a far
+        # Report-only comparison: the generic exact inverse, run at a far
         # smaller order because the full 3501x3501 elimination is infeasible.
         comparison_b = 10
         dist = tnb_distance(8, comparison_b).materialize()
@@ -245,6 +245,6 @@ def test_criterion_10_structured_assembly_performance():
         assert generic == tnb_inverse(8, comparison_b, verify_product=False)
         print(
             f"    structured assembly 3501x3501: {assembly_s * 1000:.0f} ms; "
-            f"generic Gauss-Jordan {dist.rows}x{dist.rows}: {gauss_s * 1000:.0f} ms "
+            f"generic inverse {dist.rows}x{dist.rows}: {gauss_s * 1000:.0f} ms "
             f"(generic is slower on a matrix {3501 // dist.rows}x smaller per side)"
         )

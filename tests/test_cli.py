@@ -351,7 +351,7 @@ class TestBench:
 
     @pytest.mark.parametrize("enabled", [True, False])
     @pytest.mark.parametrize("sizes,code", [
-        (["--n", "5", "--b", "2"], 0),  # with the Gauss-Jordan comparison
+        (["--n", "5", "--b", "2"], 0),  # with the generic inverse comparison
         (["--n", "8", "--b", "50"], 0),  # above the cap
         (["--n", "6", "--b", "2"], 2),  # singular
     ])

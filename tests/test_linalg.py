@@ -131,6 +131,23 @@ def naive_inverse(m):
     return [row[n:] for row in a]
 
 
+def naive_rank(m):
+    """Reference rank by row echelon reduction on Fraction entries,
+    independent of linalg's integer Bareiss kernel."""
+    a = [list(row) for row in m.data]
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, m.rows) if a[i][c] != 0), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        for i in range(r + 1, m.rows):
+            ratio = a[i][c] / a[r][c]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[r])]
+        r += 1
+    return r
+
+
 def inverse_or_rank(inverse, m):
     """The rows of ``inverse(m)``, or the rank its SingularMatrixError
     carries."""
@@ -148,6 +165,26 @@ def naive_poly_product(a, b):
         for j, y in enumerate(b):
             out[i + j] += x * y
     return tuple(out)
+
+
+@st.composite
+def general_matrices(draw, square=True):
+    """Rational matrices of orders 0-8, or with ``square=False`` of any
+    shape up to 6x9.  A zero column at the first, a middle or the last
+    position, and a repeated row, are drawn in, so the elimination skips
+    pivotless columns there."""
+    if square:
+        rows = cols = draw(st.integers(0, 8))
+    else:
+        rows, cols = draw(st.integers(0, 6)), draw(st.integers(0, 9))
+    data = draw(rational_rows(rows, cols))
+    skip = draw(st.sampled_from([None, 0, cols // 2, cols - 1]))
+    if skip is not None and cols:
+        for row in data:
+            row[skip] = Fraction(0)
+    if rows > 1 and draw(st.booleans()):
+        data[draw(st.integers(0, rows - 1))] = list(data[draw(st.integers(0, rows - 1))])
+    return RationalMatrix(rows, cols, data)
 
 
 @st.composite
@@ -381,7 +418,7 @@ class TestSymmetricInverse:
         # symmetric kernel is also called directly
         expected = naive_inverse(m)
         if expected is None:
-            expected = rank(m)
+            expected = naive_rank(m)
             assert expected < m.rows
         assert (
             inverse_or_rank(inverse_exact, m)
@@ -393,7 +430,7 @@ class TestSymmetricInverse:
     @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
     def test_symmetric_pivot_repairs(self, rows, det):
         m = RationalMatrix.from_rows(rows)
-        expected = naive_inverse(m) if det else rank(m)
+        expected = naive_inverse(m) if det else naive_rank(m)
         assert inverse_or_rank(_inverse_symmetric, m) == inverse_or_rank(inverse_exact, m) == expected
 
     def test_add_repair_reaches_finished_rows(self):
@@ -436,7 +473,20 @@ class TestSymmetricInverse:
     @pytest.mark.parametrize("spec", [TnBook(6, 5), CompleteBipartite(2, 2)])
     def test_singular_distance_matrices(self, spec):
         d = all_pairs_distances(build_family(spec))
-        assert inverse_or_rank(inverse_exact, d) == inverse_or_rank(_inverse_general, d) == rank(d)
+        assert inverse_or_rank(inverse_exact, d) == inverse_or_rank(_inverse_general, d) == naive_rank(d)
+
+
+# Matrices whose elimination skips a pivotless column, with their ranks.
+SKIPPED_COLUMNS = [
+    # a zero first column
+    (RationalMatrix.from_rows([[0, 1, 2], [0, 3, 4], [0, 5, 7]]), 2),
+    # column 1 is twice column 0, so it has no pivot after step 0
+    (RationalMatrix.from_rows([[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 2], [1, 2, 1, 1]]), 3),
+    # only the first of five columns pivots
+    (jmat(2, 5), 1),
+    (imat(0), 0),
+    (zmat(1, 1), 0),
+]
 
 
 class TestRank:
@@ -448,6 +498,31 @@ class TestRank:
 
     def test_rectangular(self):
         assert rank(jmat(2, 5)) == 1
+
+    @pytest.mark.parametrize("m, expected", SKIPPED_COLUMNS)
+    def test_skipped_columns(self, m, expected):
+        assert rank(m) == naive_rank(m) == expected
+        if m.is_square:
+            assert _det_general(m.data) == naive_det(m)
+            inverse = naive_inverse(m) if expected == m.rows else expected
+            assert inverse_or_rank(_inverse_general, m) == inverse
+
+    @settings(max_examples=100, deadline=None)
+    @given(general_matrices())
+    def test_general_square_matches_reference(self, m):
+        expected_rank = naive_rank(m)
+        assert rank(m) == expected_rank
+        assert _det_general(m.data) == naive_det(m)
+        expected = naive_inverse(m)
+        if expected is None:
+            expected = expected_rank
+            assert expected < m.rows
+        assert inverse_or_rank(_inverse_general, m) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(general_matrices(square=False))
+    def test_general_rectangular_matches_reference(self, m):
+        assert rank(m) == naive_rank(m)
 
 
 class TestCharPoly:
