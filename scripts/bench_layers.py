@@ -15,7 +15,8 @@ sides of one.
 
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
-order-71 and order-141 book distance matrices, the claimed
+order-71 and order-141 book distance matrices, the determinants and
+inverses of seed-42 tree distance matrices of orders 16-100, the claimed
 characteristic polynomial of the largest spectra-suite claim, and the
 non-symmetric determinant, inverse and rank of random integer matrices
 of orders 3-71 and the rank of a singular one), L1 the
@@ -60,6 +61,10 @@ DET_MATRICES = (
 # The order-71 and order-141 book distance matrices behind the L0 inverse
 # rows (``bench --n 8 --b 10`` inverts the first).
 INVERSE_BOOKS = ((8, 10), (8, 20))
+# Orders of the seed-42 tree distance matrices behind the det and inverse
+# rows on both sides of the order from which the symmetric elimination
+# packs its rows; below order 30 each sample averages GENERAL_REPEAT calls.
+TREE_ORDERS = (16, 24, 32, 50, 100)
 # The spectra suite's largest claim: degree 36, a quadratic factor and
 # linear factors of multiplicity up to 30.
 CLAIM = ("NC", 10, 5)
@@ -105,77 +110,84 @@ def _median_ms(tree: Path, setup: str, call: str, calls: int, repeat: int = 1) -
     return round(float(_python(tree, code)), 4)
 
 
-def l0_rows(tree: Path, rev: str) -> list:
-    rows = []
+def l0_cases() -> list:
+    """``(name, params, setup, call, calls, repeat)`` of every L0 row."""
+    cases = []
     for n, b in L0_SIZES:
         # Built through names both checkouts have; the tnb-blockform cells
         # check that the BFS matrix is the closed-form one.
         setup = ("from cpdist.graphs import TnBook, all_pairs_distances, build_family\n"
                  "from cpdist.linalg import char_poly_exact\n"
                  f"d = all_pairs_distances(build_family(TnBook({n}, {b})))")
-        ms = _median_ms(tree, setup, "char_poly_exact(d)", L0_CALLS)
-        rows.append({"layer": "L0", "name": "char_poly_exact",
-                     "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",
-                                "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+        cases.append(("char_poly_exact", {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}"},
+                      setup, "char_poly_exact(d)", L0_CALLS, 1))
     for matrix, order, spec in DET_MATRICES:
         setup = ("from cpdist import graphs as gr\n"
                  "from cpdist.linalg import det_exact\n"
                  "from cpdist.rng import Lcg, random_tree_edges\n"
                  f"d = gr.all_pairs_distances(gr.build_family({spec}))")
-        ms = _median_ms(tree, setup, "det_exact(d)", L0_CALLS)
-        rows.append({"layer": "L0", "name": "det_exact",
-                     "params": {"order": order, "matrix": f"{matrix} distance",
-                                "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+        cases.append(("det_exact", {"order": order, "matrix": f"{matrix} distance"},
+                      setup, "det_exact(d)", L0_CALLS, 1))
     for n, b in INVERSE_BOOKS:
         setup = ("from cpdist.graphs import TnBook, all_pairs_distances, build_family\n"
                  "from cpdist.linalg import inverse_exact\n"
                  f"d = all_pairs_distances(build_family(TnBook({n}, {b})))")
-        ms = _median_ms(tree, setup, "inverse_exact(d)", L0_CALLS)
-        rows.append({"layer": "L0", "name": "inverse_exact",
-                     "params": {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}",
-                                "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
+        cases.append(("inverse_exact", {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}"},
+                      setup, "inverse_exact(d)", L0_CALLS, 1))
+    for order in TREE_ORDERS:
+        setup = ("from cpdist import graphs as gr\n"
+                 "from cpdist.linalg import det_exact, inverse_exact\n"
+                 "from cpdist.rng import Lcg, random_tree_edges\n"
+                 f"d = gr.all_pairs_distances(gr.build_family(gr.Tree(random_tree_edges({order}, Lcg(42)))))")
+        repeat = GENERAL_REPEAT if order < 30 else 1
+        for name in ("det_exact", "inverse_exact"):
+            cases.append((name, {"order": order, "matrix": f"tree n={order} seed=42 distance"},
+                          setup, f"{name}(d)", GENERAL_CALLS, repeat))
     for order in GENERAL_ORDERS:
         setup = ("from cpdist.linalg import det_exact, inverse_exact, rank\n"
                  "from cpdist.rng import Lcg, random_invertible\n"
                  f"m = random_invertible(Lcg(1), {order})")
         repeat = GENERAL_REPEAT if order < 30 else 1
-        stat = f"median of {GENERAL_CALLS} samples, each the mean of {repeat} calls"
         for name in ("det_exact", "inverse_exact", "rank"):
-            ms = _median_ms(tree, setup, f"{name}(m)", GENERAL_CALLS, repeat)
-            rows.append({"layer": "L0", "name": name,
-                         "params": {"order": order, "matrix": "random_invertible(Lcg(1), order)",
-                                    "rev": rev, "stat": stat}, "ms": ms})
+            cases.append((name, {"order": order, "matrix": "random_invertible(Lcg(1), order)"},
+                          setup, f"{name}(m)", GENERAL_CALLS, repeat))
     setup = f"from cpdist.linalg import rank\nfrom cpdist.rng import Lcg, random_matrix\nm = {SINGULAR_RANK}"
-    ms = _median_ms(tree, setup, "rank(m)", GENERAL_CALLS)
-    rows.append({"layer": "L0", "name": "rank",
-                 "params": {"order": 30, "matrix": f"order 30 rank 20, {SINGULAR_RANK}", "rev": rev,
-                            "stat": f"median of {GENERAL_CALLS} calls"}, "ms": ms})
+    cases.append(("rank", {"order": 30, "matrix": f"order 30 rank 20, {SINGULAR_RANK}"},
+                  setup, "rank(m)", GENERAL_CALLS, 1))
     part, n, b = CLAIM
     setup = ("from cpdist.spectra import claimed_spectrum\n"
              f"claim = claimed_spectrum({part!r}, {n}, {b})")
-    ms = _median_ms(tree, setup, "claim.char_poly()", L0_CALLS)
-    rows.append({"layer": "L0", "name": "SpectrumClaim.char_poly",
-                 "params": {"part": part, "n": n, "b": b, "degree": b * (n - 3) + 1,
-                            "rev": rev, "stat": f"median of {L0_CALLS} calls"}, "ms": ms})
-    return rows
+    cases.append(("SpectrumClaim.char_poly", {"part": part, "n": n, "b": b, "degree": b * (n - 3) + 1},
+                  setup, "claim.char_poly()", L0_CALLS, 1))
+    return cases
 
 
-def l1_rows(tree: Path, rev: str) -> list:
+def l1_cases() -> list:
     setup = "from cpdist import closed_form as cf"
-    cases = [("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
-              "cf.tnb_inverse(8, 50)"),
-             ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,
-              "cf.kmn_inverse(100, 100)"),
-             # The order-7001 expansion bench times, with the collector off
-             # as bench runs it, so the row shows the copying alone.
-             ("StructuredBlockForm.materialize", {"n": 8, "b": 1000, "form": "tnb_xblocks",
-                                                  "gc": "disabled"},
-              f"{setup}\nimport gc\ngc.disable()\nform = cf.tnb_xblocks(8, 1000)",
-              "form.materialize()")]
-    return [{"layer": "L1", "name": name,
-             "params": {**params, "rev": rev, "stat": "median of 3 calls"},
-             "ms": _median_ms(tree, case_setup, call, 3)}
-            for name, params, case_setup, call in cases]
+    return [("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
+             "cf.tnb_inverse(8, 50)", 3, 1),
+            ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,
+             "cf.kmn_inverse(100, 100)", 3, 1),
+            # The order-7001 expansion bench times, with the collector off
+            # as bench runs it, so the row shows the copying alone.
+            ("StructuredBlockForm.materialize", {"n": 8, "b": 1000, "form": "tnb_xblocks",
+                                                 "gc": "disabled"},
+             f"{setup}\nimport gc\ngc.disable()\nform = cf.tnb_xblocks(8, 1000)",
+             "form.materialize()", 3, 1)]
+
+
+def kernel_rows(sides: tuple, revs: dict, layer: str, cases: list) -> list:
+    """One row per case and side, the two sides of a case measured back to
+    back in fresh processes, alternating which goes first."""
+    rows = []
+    for i, (name, params, setup, call, calls, repeat) in enumerate(cases):
+        stat = (f"median of {calls} samples, each the mean of {repeat} calls" if repeat > 1
+                else f"median of {calls} calls")
+        for side, tree in (sides if i % 2 == 0 else sides[::-1]):
+            rows.append({"layer": layer, "name": name,
+                         "params": {**params, "rev": revs[side], "stat": stat},
+                         "ms": _median_ms(tree, setup, call, calls, repeat)})
+    return rows
 
 
 def _suite_ms(tree: Path, suite: str) -> int:
@@ -296,7 +308,8 @@ def main(argv=None) -> int:
     revs = {"before": args.before_label, "after": "after"}
     sides = (("before", args.before.resolve()), ("after", args.after.resolve()))
 
-    measures = [_each_side(l0_rows), _each_side(l1_rows),
+    measures = [lambda sides, revs: kernel_rows(sides, revs, "L0", l0_cases()),
+                lambda sides, revs: kernel_rows(sides, revs, "L1", l1_cases()),
                 lambda sides, revs: suite_rows(sides, revs, "L2", ("spectra", "inverses")),
                 lambda sides, revs: suite_rows(sides, revs, "L3", ("all",))]
     measures += [_each_side(lambda tree, rev, argv=argv: [command_row(tree, rev, argv)])

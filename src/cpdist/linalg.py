@@ -13,7 +13,9 @@ recurrence (both O(n^3)).  A symmetric matrix, such as every distance
 matrix, is eliminated on its upper triangle only (a zero pivot is repaired
 by swapping or adding a later row and column); any other matrix, and a
 symmetric one below the small order where that starts to pay, is
-eliminated in full by one routine that skips pivotless columns.
+eliminated in full by one routine that skips pivotless columns.  Large
+symmetric eliminations pack each trailing row into one int (Kronecker
+substitution), so a row update is a few bigint operations.
 Polynomial products convolve integer coefficients.  These routines double
 as the brute-force oracles for every closed-form formula in the package,
 so they are generic dense algorithms and share no shortcut with the closed
@@ -35,6 +37,15 @@ Entry = Union[int, Fraction]
 # (the measured crossovers are in the docstrings of the two functions).
 _SYMMETRIC_DET_MIN_ORDER = 8
 _SYMMETRIC_INVERSE_MIN_ORDER = 4
+# _bareiss_symmetric packs its trailing rows into ints from this order on,
+# and keeps them packed while the trailing block has at least this many
+# rows.  A packed step pays from about 12 rows, but packing and unpacking
+# the block cost about two list steps, which pays off from order 24
+# (measured in det_exact's docstring).  Each packed slot gets spare bits so
+# that slots are not widened at every step.
+_SYMMETRIC_PACK_MIN_ORDER = 24
+_SYMMETRIC_PACK_MIN_ROWS = 12
+_PACK_HEADROOM_BITS = 16
 
 
 class SingularMatrixError(ValueError):
@@ -263,6 +274,16 @@ def det_exact(m: RationalMatrix) -> Fraction:
     3.11), the half-triangle path takes 1.08-1.38x the time of the full one
     at orders 2-5, is within 5% of it at orders 6-9 and is 1.02-1.18x
     faster at orders 10-20.
+
+    From order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 the half-triangle path
+    packs each trailing row into one int (``_bareiss_packed``) while the
+    trailing block has ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 rows or more, so a
+    row update costs a few bigint operations instead of one interpreted
+    operation per entry.  On seed-42 tree distance matrices (same VM) that
+    takes 0.93-1.04x the time of list rows alone at order 24, 0.82-0.88x
+    at 32, 0.45-0.6x at 50, 0.35-0.4x at 100 and 0.29-0.34x at 200, and
+    0.45x / 0.24-0.32x on the order-71 / order-141 book distance matrices
+    (timeit samples and the two runs behind BENCH_15.json).
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -346,6 +367,16 @@ def _bareiss_symmetric(data: list):
     congruences, so neither the determinant, nor its sign, nor the
     exactness of Bareiss's divisions changes.
 
+    In a matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more, the
+    steps that start with ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 or more rows in
+    the trailing block run in ``_bareiss_packed``, on rows packed into one
+    int each, so a row update is a few bigint operations instead of one
+    interpreted operation per entry; its docstring gives the slot width
+    bound and why the packed division is exact.  The later steps, and
+    every smaller matrix, update list rows.  Both give the same rows; on
+    the order-200 tree distance matrix the determinant takes 0.29-0.34x
+    the time of list rows alone (``det_exact`` has the other ratios).
+
     Returns ``(u, scales, repairs)``: the finished rows of the Bareiss
     elimination of B = E^T A E, where E is the product of the logged
     repairs ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] (the
@@ -363,21 +394,138 @@ def _bareiss_symmetric(data: list):
     else:
         u = [[e.numerator for e in row[i:]] for i, row in enumerate(data)]
     repairs = []
-    prev = 1
-    for k in range(n):
+    start, prev = 0, 1
+    if n >= _SYMMETRIC_PACK_MIN_ORDER:
+        packed = _bareiss_packed(u, repairs)
+        if packed is None:
+            return None
+        start, prev = packed
+    for k in range(start, n):
+        if u[k][0] == 0 and not _repair_zero_pivot(u, k, repairs):
+            return None
         row_k = u[k]
-        if row_k[0] == 0:
-            t = next((t for t in range(1, n - k) if row_k[t] != 0), None)
-            if t is None:
-                return None
-            repairs.append(_repair_pivot(u, k, t))
-            row_k = u[k]
         p = row_k[0]
         for i in range(k + 1, n):
             f = row_k[i - k]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
     return u, scales, repairs
+
+
+def _repair_zero_pivot(u: list, k: int, repairs: list) -> bool:
+    """Repair the zero pivot u[k][0] in place and log the repair; False when
+    row k of the trailing block is all zero."""
+    row_k = u[k]
+    t = next((t for t in range(1, len(row_k)) if row_k[t] != 0), None)
+    if t is None:
+        return False
+    repairs.append(_repair_pivot(u, k, t))
+    return True
+
+
+def _bareiss_packed(u: list, repairs: list):
+    """The steps of ``_bareiss_symmetric`` that leave at least
+    ``_SYMMETRIC_PACK_MIN_ROWS`` rows in the trailing block, run in place on
+    ``u`` with each trailing row packed into one int.
+
+    Trailing row i is R_i = sum_t u[i][t] * 2^(w*t), with balanced digits
+    |u[i][t]| < 2^(w-1) (Kronecker substitution).  Step k unpacks the pivot
+    row R_k once, as the finished row ``u[k]``, and by symmetry reads each
+    row's multiplier f_i = u[k][i-k] from it.  Shifting R_k right by
+    (i-k)*w with rounding drops its first i-k digits exactly (their sum is
+    below 2^((i-k)*w-1) in absolute value) and aligns the rest with R_i, so
+
+        R_i <- (p*R_i - f_i*T_i) // prev
+
+    is the whole row update: every slot of p*R_i - f_i*T_i is p*x - f_i*y
+    for the entries x, y of that slot, which prev divides, so the bigint
+    division is exact slot by slot even where p*x - f_i*y overflows its
+    slot, and only the new entries must fit.  They do: every trailing
+    entry is at most M in absolute value, and since f_i and y are entries
+    of the pivot row past its diagonal, at most G_k, the new ones are at
+    most M' = (|p|*M + G_k^2) // |prev| + 1.  When M' needs more than w - 2
+    bits, every trailing row is widened first by a strided byte copy.  A
+    zero pivot unpacks the trailing block, repairs it with
+    ``_repair_pivot`` on the lists, recomputes M from the block and packs
+    it again.
+
+    Returns ``(k, prev)``, the first step left to the list loop and the
+    last pivot, with rows k.. unpacked into ``u``; or None when a trailing
+    row is all zero.
+    """
+    n = len(u)
+    if u[0][0] == 0 and not _repair_zero_pivot(u, 0, repairs):
+        return None
+    bound = max(max(map(abs, row)) for row in u)
+    w = _slot_width(bound)
+    rows = [_pack(row, w) for row in u]
+    k, prev = 0, 1
+    while n - k >= _SYMMETRIC_PACK_MIN_ROWS:
+        row_k = _unpack(rows[k], n - k, w)
+        if row_k[0] == 0:
+            u[k:] = [_unpack(r, n - i, w) for i, r in enumerate(rows[k:], k)]
+            if not _repair_zero_pivot(u, k, repairs):
+                return None
+            bound = max(max(map(abs, row)) for row in u[k:])
+            w = _slot_width(bound)
+            rows[k:] = [_pack(row, w) for row in u[k:]]
+            row_k = u[k]
+        u[k] = row_k
+        p = row_k[0]
+        g = max(map(abs, row_k[1:]), default=0)
+        bound = (abs(p) * bound + g * g) // abs(prev) + 1
+        if bound.bit_length() + 2 > w:
+            wider = _slot_width(bound)
+            rows[k:] = [_widen(r, n - i, w, wider) for i, r in enumerate(rows[k:], k)]
+            w = wider
+        # t runs through R_k shifted right by 1, 2, ... slots.
+        half, t = 1 << (w - 1), rows[k]
+        rows[k + 1:] = [
+            (p * r - f * (t := (t + half) >> w)) // prev for r, f in zip(rows[k + 1:], row_k[1:])
+        ]
+        prev = p
+        k += 1
+    u[k:] = [_unpack(r, n - i, w) for i, r in enumerate(rows[k:], k)]
+    return k, prev
+
+
+def _slot_width(bound: int) -> int:
+    """Slot width in bits, a whole number of bytes, for packed entries of
+    absolute value at most ``bound``, with _PACK_HEADROOM_BITS to spare
+    beyond the two bits the balanced digits and their sign take."""
+    return (bound.bit_length() + 2 + _PACK_HEADROOM_BITS + 7) & ~7
+
+
+def _slot_bias(count: int, w: int, stride: int) -> int:
+    """sum_t 2^(w-1) * 2^(stride*t) over ``count`` slots: added to a packed
+    row, it makes every w-bit digit nonnegative."""
+    return int.from_bytes((bytes(w // 8 - 1) + b"\x80" + bytes((stride - w) // 8)) * count, "little")
+
+
+def _pack(row: list, w: int) -> int:
+    """``row`` as one int of w-bit balanced digits, entry t at bit w*t."""
+    size, half = w // 8, 1 << (w - 1)
+    data = b"".join([(x + half).to_bytes(size, "little") for x in row])
+    return int.from_bytes(data, "little") - _slot_bias(len(row), w, w)
+
+
+def _unpack(r: int, count: int, w: int) -> list:
+    """The ``count`` entries of the packed row ``r``."""
+    size, half = w // 8, 1 << (w - 1)
+    data = (r + _slot_bias(count, w, w)).to_bytes(count * size, "little")
+    return [int.from_bytes(data[s:s + size], "little") - half for s in range(0, count * size, size)]
+
+
+def _widen(r: int, count: int, w: int, wider: int) -> int:
+    """The packed row ``r`` of ``count`` w-bit slots, repacked in slots of
+    ``wider`` bits: its biased bytes move by one strided slice per byte of
+    a slot, and the old bias comes off in the new layout."""
+    size, new_size = w // 8, wider // 8
+    old = (r + _slot_bias(count, w, w)).to_bytes(count * size, "little")
+    new = bytearray(count * new_size)
+    for b in range(size):
+        new[b::new_size] = old[b::size]
+    return int.from_bytes(new, "little") - _slot_bias(count, w, wider)
 
 
 def _repair_pivot(u: list, k: int, t: int) -> tuple:
@@ -436,6 +584,13 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     VM, Python 3.11), the symmetric path takes 1.04-1.26x the time of the
     full one at orders 2-3 and is faster from order 4 on: 1.04-1.05x at
     order 4, 1.3-1.5x at orders 7-12 and 1.6-1.85x at orders 13-20.
+
+    The elimination packs its trailing rows from order 24 on, as in
+    ``det_exact``; the back-substitution stays on lists, so the gain is
+    smaller.  On seed-42 tree distance matrices (same VM) the inverse takes
+    0.94-1.02x the time it took with list rows alone at order 24, 0.9-1.09x
+    at 32, 0.81-0.86x at 50 and 0.67-0.79x at 100, and 0.77x / 0.53-0.66x
+    on the order-71 / order-141 book distance matrices.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")

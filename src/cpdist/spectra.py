@@ -93,13 +93,28 @@ def part_indices(part: str, n: int, b: int) -> tuple:
 
 
 def principal_submatrix(part: str, n: int, b: int) -> RationalMatrix:
-    """Correction-matrix principal submatrix for the requested vertex part."""
+    """Correction-matrix principal submatrix for the requested vertex part,
+    read from the blocks of ``tnb_rmat(n, b)`` without materializing it.
+
+    Non-hub label v lies in page (v-1) // (n-1) at local index
+    (v-1) % (n-1); two labels on one page read ``diag_block``, on different
+    pages ``offdiag_block``, and the hub reads ``border_col`` or
+    ``corner``."""
     labels = part_indices(part, n, b)
     if not labels:
         raise ValueError("empty index set")
-    full = tnb_rmat(n, b).materialize()
-    zero_based = [v - 1 for v in labels]
-    return full.submatrix(zero_based)
+    form = tnb_rmat(n, b)
+    border = [row[0] for row in form.border_col.data]
+    # (page, local index) of each label; the hub has page None
+    places = [(None, None) if v == form.order else divmod(v - 1, n - 1) for v in labels]
+    rows = []
+    for page, i in places:
+        if page is None:
+            rows.append([form.corner if q is None else border[j] for q, j in places])
+        else:
+            diag, off = form.diag_block.data[i], form.offdiag_block.data[i]
+            rows.append([border[i] if q is None else (diag if q == page else off)[j] for q, j in places])
+    return RationalMatrix(len(labels), len(labels), rows)
 
 
 def verify_claim(m: RationalMatrix, claim: SpectrumClaim) -> ClaimCheck:

@@ -1,12 +1,13 @@
 """Exact linear algebra: oracles, matrix lemmas, and their cross-checks."""
 
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdist.closed_form import tnb_inverse, tree_inverse
+from cpdist.closed_form import tnb_det, tnb_inverse, tree_det, tree_inverse
 from cpdist.graphs import CompleteBipartite, TnBook, Tree, all_pairs_distances, build_family
 from cpdist.linalg import (
     AibjAnalysis,
@@ -14,10 +15,17 @@ from cpdist.linalg import (
     RationalMatrix,
     SingularMatrixError,
     SpectrumClaim,
+    _PACK_HEADROOM_BITS,
+    _SYMMETRIC_PACK_MIN_ORDER,
+    _bareiss_symmetric,
     _det_general,
     _det_symmetric,
     _inverse_general,
     _inverse_symmetric,
+    _pack,
+    _repair_pivot,
+    _unpack,
+    _widen,
     aibj_analysis,
     char_poly_exact,
     det_exact,
@@ -148,6 +156,35 @@ def naive_rank(m):
     return r
 
 
+def list_bareiss_symmetric(data):
+    """Reference for ``_bareiss_symmetric``: the same half-triangle
+    elimination with every step on list rows, one interpreted update per
+    entry, against which its packed steps are checked."""
+    n = len(data)
+    dens = [[e.denominator for e in row] for row in data]
+    scales = [lcm(*row) for row in dens]
+    u = [
+        [e.numerator * (l // d) * s for e, d, s in zip(row[i:], drow[i:], scales[i:])]
+        for i, (row, drow, l) in enumerate(zip(data, dens, scales))
+    ]
+    repairs = []
+    prev = 1
+    for k in range(n):
+        row_k = u[k]
+        if row_k[0] == 0:
+            t = next((t for t in range(1, n - k) if row_k[t] != 0), None)
+            if t is None:
+                return None
+            repairs.append(_repair_pivot(u, k, t))
+            row_k = u[k]
+        p = row_k[0]
+        for i in range(k + 1, n):
+            f = row_k[i - k]
+            u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
+        prev = p
+    return u, scales, repairs
+
+
 def inverse_or_rank(inverse, m):
     """The rows of ``inverse(m)``, or the rank its SingularMatrixError
     carries."""
@@ -205,6 +242,31 @@ def symmetric_matrices(draw):
         for i in range(n):
             rows[z][i] = rows[i][z] = Fraction(0)
     return RationalMatrix.from_rows(rows)
+
+
+@st.composite
+def packed_symmetric_matrices(draw):
+    """Symmetric, orders from just below the smallest packed order to 12
+    past it, entries from a drawn random source: mixed denominators,
+    numerators up to 10^40, so that slots widen during the elimination, a
+    zero diagonal in half the draws and sometimes a zero row and column."""
+    n = draw(st.integers(_SYMMETRIC_PACK_MIN_ORDER - 2, _SYMMETRIC_PACK_MIN_ORDER + 12))
+    rng = draw(st.randoms(use_true_random=False))
+    bound = draw(st.sampled_from([9, 10**6, 10**40]))
+    max_den = draw(st.sampled_from([1, 12]))
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            if rng.random() >= 0.15:
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-bound, bound), rng.randint(1, max_den))
+    if draw(st.booleans()):
+        for i in range(n):
+            rows[i][i] = Fraction(0)
+    if draw(st.booleans()):
+        z = draw(st.integers(0, n - 1))
+        for i in range(n):
+            rows[z][i] = rows[i][z] = Fraction(0)
+    return RationalMatrix(n, n, rows)
 
 
 def faddeev_leverrier(m):
@@ -474,6 +536,89 @@ class TestSymmetricInverse:
     def test_singular_distance_matrices(self, spec):
         d = all_pairs_distances(build_family(spec))
         assert inverse_or_rank(inverse_exact, d) == inverse_or_rank(_inverse_general, d) == naive_rank(d)
+
+
+class TestPackedElimination:
+    """The steps of ``_bareiss_symmetric`` on packed rows give the rows,
+    scales and repair log of the list loop."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(packed_symmetric_matrices())
+    def test_matches_list_reference(self, m):
+        assert _bareiss_symmetric(m.data) == list_bareiss_symmetric(m.data)
+
+    def test_repairs_inside_packed_phase(self):
+        # a block diagonal of [[0, 1], [1, 0]]: every even step adds row and
+        # column k+1 to k, also while the trailing block is packed
+        n = 2 * _SYMMETRIC_PACK_MIN_ORDER
+        m = RationalMatrix.block([[swap2() if i == j else zmat(2, 2) for j in range(n // 2)]
+                                  for i in range(n // 2)])
+        elim = _bareiss_symmetric(m.data)
+        assert elim == list_bareiss_symmetric(m.data)
+        assert [k for k, _, _ in elim[2]] == list(range(0, n, 2))
+        assert det_exact(m) == (-1) ** (n // 2)
+        assert inverse_exact(m) == m
+
+    def test_zero_trailing_row_in_packed_phase(self):
+        # rows and columns 5 and 6 are equal, so row 6 of the trailing block
+        # is all zero at step 6, long before the list loop takes over
+        n = _SYMMETRIC_PACK_MIN_ORDER + 16
+        rng = Lcg(5)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.randint(-50, 50)
+        for j in range(n):
+            rows[6][j] = rows[j][6] = rows[5][j]
+        rows[6][6] = rows[5][5]
+        m = RationalMatrix.from_rows(rows)
+        assert _bareiss_symmetric(m.data) is None
+        assert list_bareiss_symmetric(m.data) is None
+        assert det_exact(m) == naive_det(m) == 0
+        assert inverse_or_rank(inverse_exact, m) == naive_rank(m) == n - 1
+
+    @pytest.mark.parametrize("width", [24, 32, 64, 80])
+    def test_extreme_entries_at_slot_boundary(self, width):
+        # the largest magnitude whose slot width is exactly ``width``: every
+        # entry -M, and entries +-M in a nonsingular sign pattern
+        top = (1 << (width - 2 - _PACK_HEADROOM_BITS)) - 1
+        n = _SYMMETRIC_PACK_MIN_ORDER + 8
+        flat = RationalMatrix.from_rows([[-top] * n for _ in range(n)])
+        assert _bareiss_symmetric(flat.data) is None
+        assert det_exact(flat) == 0
+        rng = Lcg(width)
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = top if rng.randint(0, 1) else -top
+        m = RationalMatrix.from_rows(rows)
+        assert _bareiss_symmetric(m.data) == list_bareiss_symmetric(m.data)
+        assert det_exact(m) == naive_det(m)
+
+    @pytest.mark.parametrize("width", [8, 16, 24, 64])
+    def test_packed_rows_hold_full_slots(self, width):
+        # digits at both ends of the balanced range survive packing,
+        # unpacking, the rounding shift by one slot and widening
+        top = (1 << (width - 1)) - 1
+        row = [top, -top, -top, 0, top, -1, 1, -top, top]
+        r = _pack(row, width)
+        assert _unpack(r, len(row), width) == row
+        half = 1 << (width - 1)
+        for s in range(1, len(row)):
+            r = (r + half) >> width
+            assert _unpack(r, len(row) - s, width) == row[s:]
+        assert _unpack(_widen(_pack(row, width), len(row), width, width + 24), len(row), width + 24) == row
+
+    def test_oracle_scaling_matrices(self):
+        # the matrices whose determinants perfbench's oracle-scaling runs
+        tree = build_family(Tree(random_tree_edges(200, Lcg(42))))
+        d = all_pairs_distances(tree)
+        assert d.rows >= _SYMMETRIC_PACK_MIN_ORDER
+        assert det_exact(d) == tree_det(tree)
+        assert inverse_exact(d) == tree_inverse(tree)
+        book = all_pairs_distances(build_family(TnBook(8, 20)))
+        assert det_exact(book) == tnb_det(8, 20)
+        assert inverse_exact(book) == tnb_inverse(8, 20)
 
 
 # Matrices whose elimination skips a pivotless column, with their ranks.

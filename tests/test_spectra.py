@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from cpdist.closed_form import tn_rmat
+from cpdist.closed_form import tn_rmat, tnb_rmat
 from cpdist.linalg import CharPoly, SpectrumClaim, char_poly_exact, imat
 from cpdist.spectra import (
     claimed_spectrum,
@@ -66,6 +66,16 @@ class TestSubmatrices:
         assert principal_submatrix("B", 5, 2).rows == 4
         assert principal_submatrix("N", 5, 2).rows == 4
         assert principal_submatrix("NC", 5, 2).rows == 5
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 8])
+    @pytest.mark.parametrize("b", [2, 3, 5])
+    @pytest.mark.parametrize("part", ["B", "N", "NC"])
+    def test_submatrix_reads_the_materialized_matrix(self, part, n, b):
+        # principal_submatrix reads the blocks; cutting the part out of the
+        # dense correction matrix must give the same entries
+        zero_based = [v - 1 for v in part_indices(part, n, b)]
+        expected = tnb_rmat(n, b).materialize().submatrix(zero_based)
+        assert principal_submatrix(part, n, b) == expected
 
 
 class TestVerifyClaim:
