@@ -19,8 +19,10 @@ order-71 and order-141 book distance matrices, the determinants and
 inverses of seed-42 tree distance matrices of orders 16-100, the claimed
 characteristic polynomial of the largest spectra-suite claim, and the
 non-symmetric determinant, inverse and rank of random integer matrices
-of orders 3-71 and the rank of a singular one), L1 the
-closed forms with their self-checks, L2 single verify suites, L3 whole
+of orders 3-71 and the rank of a singular one), L1 the closed forms with
+their self-checks, the order-7001 book inverse as ``bench`` assembles it,
+and scalar times, sum and comparison of the order-71 book inverse, L2 each
+of the five verify suites, L3 whole
 commands (``verify --suite all``, a large book ``inv``, a large book and a
 large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``,
 the Tier-1 test run) and the end-to-end metrics of every perfbench
@@ -89,6 +91,7 @@ COMMAND_RUNS = 3
 COMMAND_TIMEOUT_S = 60
 TIER1_RUNS = 2
 WORKLOADS = ("verify-suites", "oracle-scaling", "book-assembly")
+SUITES = ("recognizer", "lemmas", "dets", "inverses", "spectra")
 PAIRS = 10
 
 
@@ -162,18 +165,31 @@ def l0_cases() -> list:
     return cases
 
 
+# The order-71 book inverse and an equal matrix built independently, for
+# the matrix arithmetic rows.
+ARITHMETIC_SETUP = ("from cpdist import closed_form as cf\n"
+                    "x = cf.tnb_inverse(8, 10)\ny = cf.tnb_xblocks(8, 10).materialize()")
+ARITHMETIC = (("scalar * X", "3 * x"), ("X + X", "x + x"), ("X == Y", "x == y"))
+
+
 def l1_cases() -> list:
     setup = "from cpdist import closed_form as cf"
-    return [("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
-             "cf.tnb_inverse(8, 50)", 3, 1),
-            ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,
-             "cf.kmn_inverse(100, 100)", 3, 1),
-            # The order-7001 expansion bench times, with the collector off
-            # as bench runs it, so the row shows the copying alone.
-            ("StructuredBlockForm.materialize", {"n": 8, "b": 1000, "form": "tnb_xblocks",
-                                                 "gc": "disabled"},
-             f"{setup}\nimport gc\ngc.disable()\nform = cf.tnb_xblocks(8, 1000)",
-             "form.materialize()", 3, 1)]
+    gc_off = f"{setup}\nimport gc\ngc.disable()"
+    cases = [(f"RationalMatrix {name}", {"order": 71, "matrix": "tnb_inverse(8, 10)"},
+              ARITHMETIC_SETUP, call, GENERAL_CALLS, 10) for name, call in ARITHMETIC]
+    return cases + [
+        ("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
+         "cf.tnb_inverse(8, 50)", 3, 1),
+        ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,
+         "cf.kmn_inverse(100, 100)", 3, 1),
+        # The order-7001 inverse as bench assembles it, and its expansion
+        # alone, with the collector off as bench runs them; each sample
+        # also frees the matrix it built.
+        ("tnb_inverse", {"n": 8, "b": 1000, "self_check": "off", "gc": "disabled"}, gc_off,
+         "cf.tnb_inverse(8, 1000, verify_product=False)", 5, 1),
+        ("StructuredBlockForm.materialize", {"n": 8, "b": 1000, "form": "tnb_xblocks",
+                                             "gc": "disabled"},
+         f"{gc_off}\nform = cf.tnb_xblocks(8, 1000)", "form.materialize()", 5, 1)]
 
 
 def kernel_rows(sides: tuple, revs: dict, layer: str, cases: list) -> list:
@@ -310,7 +326,7 @@ def main(argv=None) -> int:
 
     measures = [lambda sides, revs: kernel_rows(sides, revs, "L0", l0_cases()),
                 lambda sides, revs: kernel_rows(sides, revs, "L1", l1_cases()),
-                lambda sides, revs: suite_rows(sides, revs, "L2", ("spectra", "inverses")),
+                lambda sides, revs: suite_rows(sides, revs, "L2", SUITES),
                 lambda sides, revs: suite_rows(sides, revs, "L3", ("all",))]
     measures += [_each_side(lambda tree, rev, argv=argv: [command_row(tree, rev, argv)])
                  for argv in COMMANDS]

@@ -23,6 +23,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Callable
 
 from . import closed_form as cf
@@ -165,29 +166,28 @@ def _spec(family: _Family, args) -> gr.FamilySpec:
     return family.spec(**{f: _require(getattr(args, f), f, low) for f, low in family.flags.items()})
 
 
-def _row_csv(row: list) -> str:
-    # Builders share entry objects along a row (a distance row holds one per
-    # distance), so a row formats its distinct objects once and looks them
-    # up by identity.
-    text = {key: rational_str(e) for key, e in dict(zip(map(id, row), row)).items()}
-    return ",".join(map(text.__getitem__, map(id, row)))
+def _row_csv(row: list, den: int) -> str:
+    """The integer row over den as a CSV line, each distinct value formatted once."""
+    if den == 1:
+        return ",".join(map(str, row))
+    text = {x: rational_str(Fraction(x, den)) for x in set(row)}
+    return ",".join(map(text.__getitem__, row))
 
 
 def _matrix_csv(m: RationalMatrix | cf.StructuredBlockForm) -> str:
     if isinstance(m, RationalMatrix):
-        lines = list(map(_row_csv, m.data))
+        lines = [_row_csv(row, m.den) for row in m.num]
     else:
         # Each block row is formatted once.  Line i of block k is the
         # off-diagonal row i repeated, with the diagonal row i in place k,
         # then hub entry i; the hub line is the hub column b times, then the
         # corner.
-        b = m.b
-        diag = [_row_csv(row) + "," for row in m.diag_block.data]
-        off = [_row_csv(row) + "," for row in m.offdiag_block.data]
-        hub = [_row_csv(row) for row in m.border_col.data]
+        b, (den, diag, off, hub, corner) = m.b, m._int_blocks()
+        diag, off = ([_row_csv(row, den) + "," for row in rows] for rows in (diag, off))
+        hub = _row_csv(hub + [corner], den).split(",")
         lines = [off[i] * k + diag[i] + off[i] * (b - k - 1) + hub[i]
                  for k in range(b) for i in range(len(diag))]
-        lines.append((",".join(hub) + ",") * b + rational_str(m.corner))
+        lines.append((",".join(hub[:-1]) + ",") * b + hub[-1])
     lines.append("")
     return "\n".join(lines)
 

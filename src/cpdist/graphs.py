@@ -12,7 +12,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Optional, Union
 
 from .linalg import RationalMatrix
@@ -200,8 +199,6 @@ def all_pairs_distances(g: Graph) -> RationalMatrix:
     """Shortest-path distance matrix by BFS from every vertex."""
     adj = g.adjacency()
     n = g.vertex_count
-    # One Fraction per distance value, shared by every entry that holds it.
-    values = [Fraction(k) for k in range(n)]
     rows = []
     for source in range(1, n + 1):
         dist = [-1] * (n + 1)
@@ -216,21 +213,19 @@ def all_pairs_distances(g: Graph) -> RationalMatrix:
                     queue.append(v)
         if min(dist[1:]) < 0:
             raise GraphError("graph not connected")
-        rows.append([values[dist[v]] for v in range(1, n + 1)])
-    return RationalMatrix(n, n, rows)
+        rows.append(dist[1:])
+    return RationalMatrix._of(n, n, rows)
 
 
 def laplacian(g: Graph) -> RationalMatrix:
     """Degree diagonal minus adjacency."""
     n = g.vertex_count
-    zero = Fraction(0)
-    rows = [[zero] * n for _ in range(n)]
+    rows = [[0] * n for _ in range(n)]
     for u, v in g.edges:
-        rows[u - 1][v - 1] = Fraction(-1)
-        rows[v - 1][u - 1] = Fraction(-1)
+        rows[u - 1][v - 1] = rows[v - 1][u - 1] = -1
         rows[u - 1][u - 1] += 1
         rows[v - 1][v - 1] += 1
-    return RationalMatrix(n, n, rows)
+    return RationalMatrix._of(n, n, rows)
 
 
 def biconnected_blocks(g: Graph) -> BlockDecomposition:

@@ -1,33 +1,30 @@
 """Exact rational dense linear algebra.
 
-Everything in here is tolerance-free.  Entries are ``fractions.Fraction``
-values, but the dense kernels run their inner loops on Python ints: each row
-(or, for the right factor of a product, each column) is cleared to integers
-by the LCM of its denominators, and the result is rescaled exactly once at
-the end.  Products are integer dot products with one ``Fraction`` built per
-output entry, determinants, ranks and inverses come from fraction-free
-Bareiss elimination (inverses by fraction-free back-substitution and a
-single division by the last pivot), and characteristic polynomials from a
-reduction to upper Hessenberg form by similarity followed by the Hessenberg
-recurrence (both O(n^3)).  A symmetric matrix, such as every distance
-matrix, is eliminated on its upper triangle only (a zero pivot is repaired
-by swapping or adding a later row and column); any other matrix, and a
-symmetric one below the small order where that starts to pay, is
-eliminated in full by one routine that skips pivotless columns.  Large
-symmetric eliminations pack each trailing row into one int (Kronecker
-substitution), so a row update is a few bigint operations.
-Polynomial products convolve integer coefficients.  These routines double
-as the brute-force oracles for every closed-form formula in the package,
-so they are generic dense algorithms and share no shortcut with the closed
-forms they check.
+Everything in here is tolerance-free.  A ``RationalMatrix`` is integer rows
+over one denominator in lowest terms, so sums, scalings, products and
+comparisons are integer operations plus at most one gcd pass, and the
+kernels read the integer rows directly: det(m) = det(num) / den^n and
+m^-1 = den * num^-1.  ``Fraction`` appears only at the boundary.
+Determinants, ranks and inverses come from fraction-free Bareiss
+elimination (inverses by fraction-free back-substitution and one division
+by the last pivot), characteristic polynomials from a reduction to upper
+Hessenberg form by similarity and the Hessenberg recurrence (both O(n^3)).
+A symmetric matrix, such as every distance matrix, is eliminated on its
+upper triangle only (a zero pivot is repaired by swapping or adding a later
+row and column), from order 24 on with each trailing row packed into one
+int (Kronecker substitution); any other matrix, and a small symmetric one,
+is eliminated in full by one routine that skips pivotless columns.  These
+routines double as the brute-force oracles for every closed-form formula in
+the package, so they are generic dense algorithms and share no shortcut
+with the closed forms they check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm, prod
-from operator import mul
+from math import gcd, lcm
+from operator import eq, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -64,22 +61,41 @@ def rational_str(q: Fraction) -> str:
 
 
 class RationalMatrix:
-    """Dense matrix of ``Fraction`` entries stored as a list of row lists.
+    """Dense rational matrix stored as integer rows over one denominator.
 
-    The plain constructor trusts its input (entries must be Fractions or
-    ints); ``from_rows`` coerces ints.  Matrix products clear the rows of
-    the left factor and the columns of the right factor to integers, form
-    the integer product, and divide each entry once by its row and column
-    scales.  Indices are 0-based; graph-facing code translates 1-based
-    vertex labels at its boundary.
+    Entry (i, j) is ``num[i][j] / den``, in the canonical form ``den > 0``
+    and gcd(den, every numerator) = 1, so ``==`` compares ``num`` and
+    ``den`` with no ``Fraction``.  Matrices are never changed in place, so
+    results may share row lists and int objects with their operands.
+    ``Fraction`` appears only at the boundary: ``m[i, j]``, ``entries()``,
+    ``trace()`` and ``data``, a lazy sequence of ``Fraction`` rows that
+    builds a row only when it is read.  The plain constructor clears rows of
+    ints or Fractions by the LCM of their denominators, which is canonical;
+    ``from_rows`` also checks the shape.  Indices are 0-based.
     """
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows: int, cols: int, data: list):
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+    def __init__(self, rows: int, cols: int, data: Sequence[Sequence[Entry]]):
+        den = lcm(*[e.denominator for row in data for e in row])
+        self.rows, self.cols, self.den = rows, cols, den
+        self.num = [[e.numerator * (den // e.denominator) for e in row] for row in data]
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, num: list, den: int = 1) -> "RationalMatrix":
+        """The matrix ``num / den``, trusted to be canonical."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.num, m.den = rows, cols, num, den
+        return m
+
+    @classmethod
+    def _reduced(cls, rows: int, cols: int, num: list, den: int) -> "RationalMatrix":
+        """The matrix ``num / den`` for any nonzero den, made canonical."""
+        g = _content(num, den) * (1 if den > 0 else -1)
+        if g != 1:
+            num = [[x // g for x in row] for row in num]
+            den //= g
+        return cls._of(rows, cols, num, den)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "RationalMatrix":
@@ -93,8 +109,10 @@ class RationalMatrix:
 
     @classmethod
     def block(cls, grid: Sequence[Sequence["RationalMatrix"]]) -> "RationalMatrix":
-        """Assemble from a 2-d grid of conformal blocks."""
-        data: list[list[Fraction]] = []
+        """Assemble from a 2-d grid of conformal blocks over the LCM of their
+        denominators, which is canonical because each block is."""
+        den = lcm(*[b.den for block_row in grid for b in block_row])
+        num: list[list[int]] = []
         cols = None
         for block_row in grid:
             height = block_row[0].rows
@@ -105,86 +123,77 @@ class RationalMatrix:
                 cols = width
             elif width != cols:
                 raise ValueError("block column widths differ")
-            for i in range(height):
-                row: list[Fraction] = []
-                for b in block_row:
-                    row.extend(b.data[i])
-                data.append(row)
-        return cls(len(data), cols or 0, data)
+            parts = [_rescaled(b.num, den // b.den) for b in block_row]
+            num += [[x for part in parts for x in part[i]] for i in range(height)]
+        return cls._of(len(num), cols or 0, num, den)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, RationalMatrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and self.data == other.data
-        )
+        return (self.rows, self.cols, self.den, self.num) == (other.rows, other.cols, other.den, other.num)
 
-    __hash__ = None  # mutable payload
+    __hash__ = None  # compared by value, like a list
 
     def __repr__(self) -> str:
-        if self.rows * self.cols <= 36:
-            body = "; ".join(
-                " ".join(rational_str(e) for e in row) for row in self.data
-            )
-            return f"RationalMatrix({self.rows}x{self.cols}: {body})"
-        return f"RationalMatrix({self.rows}x{self.cols})"
+        if self.rows * self.cols > 36:
+            return f"RationalMatrix({self.rows}x{self.cols})"
+        body = "; ".join(" ".join(rational_str(Fraction(x, self.den)) for x in row) for row in self.num)
+        return f"RationalMatrix({self.rows}x{self.cols}: {body})"
 
     def __getitem__(self, key: tuple) -> Fraction:
         i, j = key
-        return self.data[i][j]
+        return Fraction(self.num[i][j], self.den)
+
+    @property
+    def data(self) -> "_FractionRows":
+        return _FractionRows(self)
 
     @property
     def is_square(self) -> bool:
         return self.rows == self.cols
 
     def is_symmetric(self) -> bool:
-        # Rows compare with columns as tuples, which compares entries that
-        # are one shared object by identity, without calling Fraction.__eq__.
-        d = self.data
-        return self.is_square and all(tuple(row) == col for row, col in zip(d, zip(*d)))
+        num = self.num
+        return self.is_square and all(tuple(row) == col for row, col in zip(num, zip(*num)))
 
     def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.cols, self.rows, [list(col) for col in zip(*self.data)]
-        )
+        num = [list(col) for col in zip(*self.num)] if self.rows else [[] for _ in range(self.cols)]
+        return RationalMatrix._of(self.cols, self.rows, num, self.den)
 
     def trace(self) -> Fraction:
         if not self.is_square:
             raise ValueError("trace requires a square matrix")
-        return sum((self.data[i][i] for i in range(self.rows)), Fraction(0))
+        return Fraction(sum(row[i] for i, row in enumerate(self.num)), self.den)
 
     def submatrix(self, row_idx: Sequence[int], col_idx: Optional[Sequence[int]] = None) -> "RationalMatrix":
         if col_idx is None:
             col_idx = row_idx
-        data = [[self.data[i][j] for j in col_idx] for i in row_idx]
-        return RationalMatrix(len(row_idx), len(col_idx), data)
+        num = [[row[j] for j in col_idx] for row in map(self.num.__getitem__, row_idx)]
+        return RationalMatrix._reduced(len(row_idx), len(col_idx), num, self.den)
 
     def entries(self) -> Iterable[Fraction]:
-        for row in self.data:
-            yield from row
+        return (Fraction(x, self.den) for row in self.num for x in row)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._conform(other)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        self._conform(other)
-        return RationalMatrix(
-            self.rows,
-            self.cols,
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self.data, other.data)],
-        )
+        return self._combine(other, -1)
+
+    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
+        """self + sign * other over the LCM of the two denominators."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("matrix dimensions differ")
+        den = lcm(self.den, other.den)
+        pairs = zip(_rescaled(self.num, den // self.den), _rescaled(other.num, den // other.den))
+        if sign > 0:
+            num = [[x + y for x, y in zip(a, b)] for a, b in pairs]
+        else:
+            num = [[x - y for x, y in zip(a, b)] for a, b in pairs]
+        return RationalMatrix._reduced(self.rows, self.cols, num, den)
 
     def __neg__(self) -> "RationalMatrix":
-        return RationalMatrix(
-            self.rows, self.cols, [[-e for e in row] for row in self.data]
-        )
+        return RationalMatrix._of(self.rows, self.cols, [[-x for x in row] for row in self.num], self.den)
 
     def __mul__(self, other):
         if isinstance(other, RationalMatrix):
@@ -192,13 +201,9 @@ class RationalMatrix:
                 raise ValueError(
                     f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
                 )
-            left, row_scales = _clear_rows(self.data)
-            right, col_scales = _clear_rows(zip(*other.data))
-            data = [
-                [Fraction(sum(map(mul, row, col)), l * c) for col, c in zip(right, col_scales)]
-                for row, l in zip(left, row_scales)
-            ]
-            return RationalMatrix(self.rows, other.cols, data)
+            cols = list(zip(*other.num)) if other.rows else [()] * other.cols
+            num = [[sum(map(mul, row, col)) for col in cols] for row in self.num]
+            return RationalMatrix._reduced(self.rows, other.cols, num, self.den * other.den)
         return self._scale(other)
 
     def __rmul__(self, other):
@@ -208,33 +213,78 @@ class RationalMatrix:
         return self._scale(Fraction(1, 1) / Fraction(other))
 
     def _scale(self, factor) -> "RationalMatrix":
+        """factor * self: with factor = p/q in lowest terms, gcd(p, den) and
+        gcd(q, every numerator) cancel, and what is left is canonical."""
         f = Fraction(factor)
-        return RationalMatrix(
-            self.rows, self.cols, [[f * e for e in row] for row in self.data]
+        p, q = f.numerator, f.denominator
+        if p == 0:
+            return zmat(self.rows, self.cols)
+        g, h = gcd(p, self.den), _content(self.num, q)
+        num = self.num if h == 1 else [[x // h for x in row] for row in self.num]
+        return RationalMatrix._of(
+            self.rows, self.cols, _rescaled(num, p // g), self.den // g * (q // h)
         )
 
-    def _conform(self, other: "RationalMatrix") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("matrix dimensions differ")
+
+class _FractionRows:
+    """The rows of a ``RationalMatrix`` as lists of ``Fraction``, each built
+    when it is read, with one ``Fraction`` per distinct value: a sequence
+    with ``len``, indexing (negative indexes too) and iteration, equal to
+    any list or tuple of equal rows."""
+
+    __slots__ = ("_m",)
+
+    def __init__(self, m: RationalMatrix):
+        self._m = m
+
+    def __len__(self) -> int:
+        return self._m.rows
+
+    def __getitem__(self, i: int) -> list:
+        row, den = self._m.num[i], self._m.den
+        values = {x: Fraction(x, den) for x in set(row)}
+        return list(map(values.__getitem__, row))
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self._m.rows))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, tuple, _FractionRows)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    def __repr__(self) -> str:
+        return repr(list(self))
+
+
+def _content(num: list, g: int) -> int:
+    """gcd of g and every entry of the integer rows ``num``, up to 1."""
+    for row in num:
+        if g == 1:
+            break
+        g = gcd(g, *row)
+    return g
+
+
+def _rescaled(num: list, factor: int) -> list:
+    """The integer rows ``num`` times ``factor`` (themselves for 1)."""
+    if factor == 1:
+        return num
+    return [[x * factor for x in row] for row in num]
 
 
 def imat(n: int) -> RationalMatrix:
     """Identity matrix of order n."""
-    one, zero = Fraction(1), Fraction(0)
-    return RationalMatrix(
-        n, n, [[one if i == j else zero for j in range(n)] for i in range(n)]
-    )
+    return RationalMatrix._of(n, n, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def jmat(rows: int, cols: int) -> RationalMatrix:
     """All-ones matrix."""
-    one = Fraction(1)
-    return RationalMatrix(rows, cols, [[one] * cols for _ in range(rows)])
+    return RationalMatrix._of(rows, cols, [[1] * cols for _ in range(rows)])
 
 
 def zmat(rows: int, cols: int) -> RationalMatrix:
-    zero = Fraction(0)
-    return RationalMatrix(rows, cols, [[zero] * cols for _ in range(rows)])
+    return RationalMatrix._of(rows, cols, [[0] * cols for _ in range(rows)])
 
 
 def ones_col(n: int) -> RationalMatrix:
@@ -243,13 +293,13 @@ def ones_col(n: int) -> RationalMatrix:
 
 def swap2() -> RationalMatrix:
     """The 2x2 exchange matrix (zero diagonal, ones off it)."""
-    return RationalMatrix.from_rows([[0, 1], [1, 0]])
+    return RationalMatrix._of(2, 2, [[0, 1], [1, 0]])
 
 
 def _clear_rows(rows: Iterable[Sequence[Entry]]) -> tuple:
     """Clear each row to integers: ``(int_rows, scales)`` with
     ``int_rows[i] == scales[i] * rows[i]`` and ``scales[i]`` the LCM of row
-    i's denominators.  Pass ``zip(*m.data)`` to clear columns instead."""
+    i's denominators (the coefficient lists of ``CharPoly``)."""
     int_rows: list[list[int]] = []
     scales: list[int] = []
     for row in rows:
@@ -260,47 +310,36 @@ def _clear_rows(rows: Iterable[Sequence[Entry]]) -> tuple:
 
 
 def det_exact(m: RationalMatrix) -> Fraction:
-    """Exact determinant via fraction-free Bareiss elimination.
+    """Exact determinant by fraction-free Bareiss elimination of the integer
+    rows: det(m) = det(num) / den^n, and 1 for the 0x0 matrix.
 
-    The elimination runs in plain integers and the determinant is rescaled
-    once at the end; the determinant of the 0x0 matrix is 1.  A symmetric
-    matrix (every distance matrix) of order ``_SYMMETRIC_DET_MIN_ORDER`` = 8
-    or more takes the half-triangle path of ``_det_symmetric``, which
+    A symmetric matrix (every distance matrix) of order
+    ``_SYMMETRIC_DET_MIN_ORDER`` = 8 or more takes ``_det_symmetric``, which
     updates only the upper triangle and repairs a zero pivot by a symmetric
-    swap or addition.  Any other matrix, and a smaller symmetric one, has
-    each row scaled by the LCM of its denominators and is reduced in full,
-    with the first nonzero entry of each column as its pivot.  Measured on
-    tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU VM, Python
-    3.11), the half-triangle path takes 1.08-1.38x the time of the full one
-    at orders 2-5, is within 5% of it at orders 6-9 and is 1.02-1.18x
-    faster at orders 10-20.
-
-    From order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 the half-triangle path
-    packs each trailing row into one int (``_bareiss_packed``) while the
-    trailing block has ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 rows or more, so a
-    row update costs a few bigint operations instead of one interpreted
-    operation per entry.  On seed-42 tree distance matrices (same VM) that
-    takes 0.93-1.04x the time of list rows alone at order 24, 0.82-0.88x
-    at 32, 0.45-0.6x at 50, 0.35-0.4x at 100 and 0.29-0.34x at 200, and
-    0.45x / 0.24-0.32x on the order-71 / order-141 book distance matrices
-    (timeit samples and the two runs behind BENCH_15.json).
+    swap or addition; any other matrix, and a smaller symmetric one, is
+    reduced in full.  On tree and K_{m,n} distance matrices (2-vCPU VM,
+    Python 3.11) the half-triangle path is 1.08-1.38x slower at orders 2-5
+    and 1.02-1.18x faster at orders 10-20.  From order
+    ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 it packs its trailing rows
+    (``_bareiss_packed``): 0.82-0.88x the time of list rows at order 32 and
+    0.29-0.34x at order 200 (tree distance matrices, BENCH_15.json).
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
     if m.rows >= _SYMMETRIC_DET_MIN_ORDER and m.is_symmetric():
-        return _det_symmetric(m.data)
-    return _det_general(m.data)
+        return Fraction(_det_symmetric(m.num), m.den ** m.rows)
+    return Fraction(_det_general(m.num), m.den ** m.rows)
 
 
-def _det_general(data: list) -> Fraction:
-    """Bareiss determinant of any square matrix from ``_bareiss_general``,
-    rows cleared to integers: 0 unless every column pivots."""
-    n = len(data)
-    a, scales = _clear_rows(data)
+def _det_general(num: list) -> int:
+    """Bareiss determinant of the square integer matrix ``num`` from
+    ``_bareiss_general``: 0 unless every column pivots."""
+    n = len(num)
+    a = [row.copy() for row in num]
     r, sign = _bareiss_general(a, n)
     if r < n:
-        return Fraction(0)
-    return Fraction(sign * (a[-1][-1] if n else 1), prod(scales))
+        return 0
+    return sign * a[-1][-1] if n else 1
 
 
 def _bareiss_general(a: list, width: int) -> tuple:
@@ -341,25 +380,21 @@ def _bareiss_general(a: list, width: int) -> tuple:
     return r, sign
 
 
-def _det_symmetric(data: list) -> Fraction:
-    """Bareiss determinant of a symmetric matrix from
-    ``_bareiss_symmetric``: the last pivot over prod(l_i)^2, or 0 when a
-    trailing row is all zero."""
-    elim = _bareiss_symmetric(data)
-    if elim is None:
-        return Fraction(0)
-    u, scales, _ = elim
-    return Fraction(u[-1][0] if u else 1, prod(scales) ** 2)
+def _det_symmetric(num: list) -> int:
+    """Bareiss determinant of the symmetric integer matrix ``num`` from
+    ``_bareiss_symmetric``: the last pivot, or 0 when a trailing row is all
+    zero."""
+    elim = _bareiss_symmetric(num)
+    return 0 if elim is None else elim[0][-1][0] if num else 1
 
 
-def _bareiss_symmetric(data: list):
-    """Fraction-free symmetric elimination on the upper triangle.
+def _bareiss_symmetric(num: list):
+    """Fraction-free elimination of the symmetric integer matrix A =
+    ``num`` on its upper triangle.
 
-    Entry (i, j) is cleared to the integer d_ij * l_i * l_j, with l_i the
-    LCM of row i's denominators, so the cleared matrix A stays symmetric and
-    its determinant is det(d) * prod(l_i)^2.  Elimination keeps the
-    trailing block symmetric, so ``u[i]`` holds only row i from its
-    diagonal on, and step k updates a_ij <- (p*a_ij - a_ki*a_kj) // prev
+    Elimination keeps the trailing block symmetric, so ``u[i]`` holds only
+    row i from its diagonal on, and step k updates
+    a_ij <- (p*a_ij - a_ki*a_kj) // prev
     for j >= i > k, reading a_ki from the pivot row.  A zero pivot a_kk is
     repaired with the first c > k that has a_kc != 0 (``_repair_pivot``):
     if a_cc != 0, row and column c swap with k; otherwise row and column c
@@ -369,30 +404,18 @@ def _bareiss_symmetric(data: list):
 
     In a matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more, the
     steps that start with ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 or more rows in
-    the trailing block run in ``_bareiss_packed``, on rows packed into one
-    int each, so a row update is a few bigint operations instead of one
-    interpreted operation per entry; its docstring gives the slot width
-    bound and why the packed division is exact.  The later steps, and
-    every smaller matrix, update list rows.  Both give the same rows; on
-    the order-200 tree distance matrix the determinant takes 0.29-0.34x
-    the time of list rows alone (``det_exact`` has the other ratios).
+    the trailing block run in ``_bareiss_packed`` on rows packed into one
+    int each; the later steps, and every smaller matrix, update list rows.
+    Both give the same rows.
 
-    Returns ``(u, scales, repairs)``: the finished rows of the Bareiss
-    elimination of B = E^T A E, where E is the product of the logged
-    repairs ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] (the
-    last one det B = det A), and the row scales l_i.  Returns None when a
-    trailing row is all zero, that is when the matrix is singular.
+    Returns ``(u, repairs)``: the finished rows of the Bareiss elimination
+    of B = E^T A E, where E is the product of the logged repairs
+    ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] (the last one
+    det B = det A).  Returns None when a trailing row is all zero, that is
+    when the matrix is singular.
     """
-    n = len(data)
-    dens = [[e.denominator for e in row] for row in data]
-    scales = [lcm(*row) for row in dens]
-    if any(l != 1 for l in scales):
-        u = [
-            [e.numerator * (l // d) * s for e, d, s in zip(row[i:], drow[i:], scales[i:])]
-            for i, (row, drow, l) in enumerate(zip(data, dens, scales))
-        ]
-    else:
-        u = [[e.numerator for e in row[i:]] for i, row in enumerate(data)]
+    n = len(num)
+    u = [row[i:] for i, row in enumerate(num)]
     repairs = []
     start, prev = 0, 1
     if n >= _SYMMETRIC_PACK_MIN_ORDER:
@@ -409,7 +432,7 @@ def _bareiss_symmetric(data: list):
             f = row_k[i - k]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
-    return u, scales, repairs
+    return u, repairs
 
 
 def _repair_zero_pivot(u: list, k: int, repairs: list) -> bool:
@@ -563,9 +586,8 @@ def _repair_pivot(u: list, k: int, t: int) -> tuple:
 
 def rank(m: RationalMatrix) -> int:
     """Rank over the rationals: the number of pivots ``_bareiss_general``
-    finds in the rows cleared to integers."""
-    a, _ = _clear_rows(m.data)
-    return _bareiss_general(a, m.cols)[0]
+    finds in the integer rows of m."""
+    return _bareiss_general([row.copy() for row in m.num], m.cols)[0]
 
 
 def inverse_exact(m: RationalMatrix) -> RationalMatrix:
@@ -579,18 +601,11 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     ``det_exact`` also runs, then fraction-free back-substitution on the
     upper triangle, about n^3/2 bigint products.  Any other matrix, and a
     smaller symmetric one, takes ``_inverse_general``: the full Bareiss
-    elimination of [L m | I] and back-substitution, about 4n^3/3.
-    Measured on tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU
-    VM, Python 3.11), the symmetric path takes 1.04-1.26x the time of the
-    full one at orders 2-3 and is faster from order 4 on: 1.04-1.05x at
-    order 4, 1.3-1.5x at orders 7-12 and 1.6-1.85x at orders 13-20.
-
-    The elimination packs its trailing rows from order 24 on, as in
-    ``det_exact``; the back-substitution stays on lists, so the gain is
-    smaller.  On seed-42 tree distance matrices (same VM) the inverse takes
-    0.94-1.02x the time it took with list rows alone at order 24, 0.9-1.09x
-    at 32, 0.81-0.86x at 50 and 0.67-0.79x at 100, and 0.77x / 0.53-0.66x
-    on the order-71 / order-141 book distance matrices.
+    elimination of [num | I] and back-substitution, about 4n^3/3.  On tree
+    and K_{m,n} distance matrices (2-vCPU VM, Python 3.11) the symmetric
+    path is 1.04-1.26x slower at orders 2-3 and 1.6-1.85x faster at orders
+    13-20; its packed elimination (order 24 on, as in ``det_exact``) takes
+    it to 0.67-0.79x at order 100.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
@@ -613,12 +628,12 @@ def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
     with every division exact, and the entries X_lj with l > j mirrored
     from the columns already finished.  The logged repairs are undone in
     reverse (X <- Q X Q^T for each repair's column operation Q), which
-    leaves d * A^-1, and A = L m L gives m^-1 = L (d A^-1) L / d.
+    leaves the symmetric d * A^-1 for A = ``m.num``, so m^-1 = den * X / d.
     """
-    elim = _bareiss_symmetric(m.data)
+    elim = _bareiss_symmetric(m.num)
     if elim is None:
         raise SingularMatrixError("singular matrix", rank(m))
-    u, scales, repairs = elim
+    u, repairs = elim
     n = len(u)
     pivots = [row[0] for row in u]
     d = pivots[-1] if n else 1
@@ -642,28 +657,21 @@ def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
             x[c] = [a + b for a, b in zip(x[c], x[k])]
             for row in x:
                 row[c] += row[k]
-    # The inverse is symmetric: build each entry once and mirror it.
-    upper = [
-        [Fraction(v * l * s, d) for v, s in zip(row[i:], scales[i:])]
-        for i, (row, l) in enumerate(zip(x, scales))
-    ]
-    return RationalMatrix(n, n, [[upper[j][i - j] for j in range(i)] + upper[i] for i in range(n)])
+    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d)
 
 
 def _inverse_general(m: RationalMatrix) -> RationalMatrix:
     """Inverse of any square matrix from ``_bareiss_general``.
 
-    With row i of m cleared by its denominator LCM l_i, A = L m, the
-    elimination of [A | I] leaves [U | Y] with U upper triangular, its
-    pivots p_i on the diagonal and d = p_{n-1}.  X = d * A^-1 is +- the
-    adjugate of A, an integer matrix, and solves U X = d Y, so row by row
-    from the bottom up X_ij = (d*Y_ij - sum_{l>i} U_il X_lj) // p_i, every
-    division exact; entry (i, j) of m^-1 = A^-1 L is X_ij * l_j / d.
+    With A = ``m.num``, the elimination of [A | I] leaves [U | Y] with U
+    upper triangular, its pivots p_i on the diagonal and d = p_{n-1}.
+    X = d * A^-1 is +- the adjugate of A, an integer matrix, and solves
+    U X = d Y, so row by row from the bottom up
+    X_ij = (d*Y_ij - sum_{l>i} U_il X_lj) // p_i, every division exact, and
+    m^-1 = den * X / d.
     """
     n = m.rows
-    a, scales = _clear_rows(m.data)
-    for i, row in enumerate(a):
-        row.extend(1 if i == j else 0 for j in range(n))
+    a = [row + [int(i == j) for j in range(n)] for i, row in enumerate(m.num)]
     r, _ = _bareiss_general(a, n)
     if r < n:
         raise SingularMatrixError("singular matrix", r)
@@ -677,9 +685,8 @@ def _inverse_general(m: RationalMatrix) -> RationalMatrix:
         u = row[n - 1:i:-1]
         for col, y in zip(cols, row[n:]):
             col.append((d * y - sum(map(mul, u, col))) // p)
-    return RationalMatrix(
-        n, n, [[Fraction(col[-1 - i] * l, d) for col, l in zip(cols, scales)] for i in range(n)]
-    )
+    x = [[col[-1 - i] for col in cols] for i in range(n)]
+    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d)
 
 
 @dataclass(frozen=True)
@@ -754,23 +761,13 @@ class CharPoly:
         terms = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = rational_str(abs(c))
-            else:
-                mag = abs(c)
-                xpow = "x" if k == 1 else f"x^{k}"
-                body = xpow if mag == 1 else f"{rational_str(mag)}*{xpow}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
+            if c:
+                mag, xpow = rational_str(abs(c)), "x" if k == 1 else f"x^{k}"
+                body = mag if k == 0 else xpow if mag == "1" else f"{mag}*{xpow}"
+                terms.append(f" {'-' if c < 0 else '+'} {body}")
         if not terms:
             return "0"
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+        return ("-" if terms[0][1] == "-" else "") + terms[0][3:] + "".join(terms[1:])
 
 
 def _convolve(a: list, b: list) -> list:
@@ -807,7 +804,7 @@ def _hessenberg(m: RationalMatrix) -> tuple:
     similarity.  Rows are kept primitive over their denominator.
     """
     n = m.rows
-    a, dens = _clear_rows(m.data)
+    a, dens = map(list, zip(*[_primitive(row, m.den) for row in m.num])) if n else ([], [])
     for k in range(1, n - 1):
         c = k - 1
         piv = next((i for i in range(k, n) if a[i][c] != 0), None)
@@ -984,10 +981,9 @@ def rank_one_update_inverse(a_inv: RationalMatrix, b: RationalMatrix) -> Rationa
         raise ValueError("matrices must be square and of equal order")
     if rank(b) != 1:
         raise ValueError("update matrix must have rank exactly 1")
-    n = a_inv.rows
-    g = sum(
-        (b.data[i][j] * a_inv.data[j][i] for i in range(n) for j in range(n)),
-        Fraction(0),
+    g = Fraction(
+        sum(sum(map(mul, row, col)) for row, col in zip(b.num, zip(*a_inv.num))),
+        b.den * a_inv.den,
     )
     if g == -1:
         raise ValueError("update makes matrix singular")

@@ -12,8 +12,6 @@ whole stream is trivial to reproduce in any language, which is the point.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .linalg import RationalMatrix, det_exact
 
 _MULT = 6364136223846793005
@@ -49,7 +47,7 @@ def random_matrix(rng: Lcg, rows: int, cols: int, lo: int = -9, hi: int = 9) -> 
     return RationalMatrix(
         rows,
         cols,
-        [[Fraction(rng.randint(lo, hi)) for _ in range(cols)] for _ in range(rows)],
+        [[rng.randint(lo, hi) for _ in range(cols)] for _ in range(rows)],
     )
 
 
@@ -73,5 +71,5 @@ def random_rank_one(rng: Lcg, order: int, lo: int = -3, hi: int = 3) -> Rational
     u = nonzero_vector()
     v = nonzero_vector()
     return RationalMatrix(
-        order, order, [[Fraction(a * b) for b in v] for a in u]
+        order, order, [[a * b for b in v] for a in u]
     )

@@ -99,22 +99,22 @@ def principal_submatrix(part: str, n: int, b: int) -> RationalMatrix:
     Non-hub label v lies in page (v-1) // (n-1) at local index
     (v-1) % (n-1); two labels on one page read ``diag_block``, on different
     pages ``offdiag_block``, and the hub reads ``border_col`` or
-    ``corner``."""
+    ``corner``, all as integers over one denominator."""
     labels = part_indices(part, n, b)
     if not labels:
         raise ValueError("empty index set")
     form = tnb_rmat(n, b)
-    border = [row[0] for row in form.border_col.data]
+    den, diag, off, border, corner = form._int_blocks()
     # (page, local index) of each label; the hub has page None
     places = [(None, None) if v == form.order else divmod(v - 1, n - 1) for v in labels]
     rows = []
     for page, i in places:
         if page is None:
-            rows.append([form.corner if q is None else border[j] for q, j in places])
+            rows.append([corner if q is None else border[j] for q, j in places])
         else:
-            diag, off = form.diag_block.data[i], form.offdiag_block.data[i]
-            rows.append([border[i] if q is None else (diag if q == page else off)[j] for q, j in places])
-    return RationalMatrix(len(labels), len(labels), rows)
+            d, o = diag[i], off[i]
+            rows.append([border[i] if q is None else (d if q == page else o)[j] for q, j in places])
+    return RationalMatrix._reduced(len(labels), len(labels), rows, den)
 
 
 def verify_claim(m: RationalMatrix, claim: SpectrumClaim) -> ClaimCheck:

@@ -305,6 +305,31 @@ class TestVerify:
         assert display[0]["expected"] == f"{corner + 1} at [8][8]"
         assert display[0]["actual"] == f"{corner} at [8][8]; 1 of 81 entries differ"
 
+    def test_matrix_mismatch_report_text_is_fixed(self, capsys, monkeypatch):
+        # Two entries of the (7, 3) diagonal block are off by one; the
+        # report's text is pinned byte for byte, as the Fraction-entry
+        # matrices of earlier versions wrote it.
+        tnb_xblocks = cf.tnb_xblocks
+
+        def perturbed(n, b):
+            form = tnb_xblocks(n, b)
+            if (n, b) != (7, 3):
+                return form
+            data = [list(row) for row in form.diag_block.data]
+            data[2][3] += 1
+            data[4][1] -= 1
+            return dataclasses.replace(form, diag_block=RationalMatrix(6, 6, data))
+
+        monkeypatch.setattr(cf, "tnb_xblocks", perturbed)
+        assert main(["verify", "--suite", "inverses", "--json", "-"]) == 3
+        failures = json.loads(capsys.readouterr().out)["failures"]
+        assert [(f["params"], f["expected"], f["actual"], f["location"]) for f in failures] == [
+            ({"check": "tnb-inverse", "n": 7, "b": 3}, "4/3 at [2][3]",
+             "1/3 at [2][3]; 6 of 361 entries differ", "book inverse block display (7,3)"),
+            ({"check": "tnb-block-identities", "n": 7, "b": 3}, "0 at [0][1]",
+             "-1 at [0][1]; 10 of 36 entries differ", "diagonal block identity (7,3)"),
+        ]
+
 
 class TestSpectrum:
     def test_match(self, capsys):

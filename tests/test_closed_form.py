@@ -244,12 +244,12 @@ class TestBookStructuredForms:
     def test_materialized_rows_are_distinct_lists(self, n, b):
         form = tnb_distance(n, b)
         dense = form.materialize()
-        rows = dense.data
+        rows = dense.num
         assert len(rows) == form.order
         assert len({id(row) for row in rows}) == form.order
         assert all(len(row) == form.order for row in rows)
         before = [row.copy() for row in rows]
-        rows[0][0] = Fraction(-1)
+        rows[0][0] = -1
         assert rows[1:] == before[1:]
         if n != 6:
             assert tnb_xblocks(n, b).materialize() == tnb_inverse(n, b, verify_product=False)

@@ -1,13 +1,21 @@
 """Exact linear algebra: oracles, matrix lemmas, and their cross-checks."""
 
+import tracemalloc
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cpdist.closed_form import tnb_det, tnb_inverse, tree_det, tree_inverse
+from cpdist.closed_form import (
+    StructuredBlockForm,
+    tnb_det,
+    tnb_inverse,
+    tnb_xblocks,
+    tree_det,
+    tree_inverse,
+)
 from cpdist.graphs import CompleteBipartite, TnBook, Tree, all_pairs_distances, build_family
 from cpdist.linalg import (
     AibjAnalysis,
@@ -156,17 +164,13 @@ def naive_rank(m):
     return r
 
 
-def list_bareiss_symmetric(data):
+def list_bareiss_symmetric(num):
     """Reference for ``_bareiss_symmetric``: the same half-triangle
-    elimination with every step on list rows, one interpreted update per
-    entry, against which its packed steps are checked."""
-    n = len(data)
-    dens = [[e.denominator for e in row] for row in data]
-    scales = [lcm(*row) for row in dens]
-    u = [
-        [e.numerator * (l // d) * s for e, d, s in zip(row[i:], drow[i:], scales[i:])]
-        for i, (row, drow, l) in enumerate(zip(data, dens, scales))
-    ]
+    elimination of the symmetric integer rows ``num`` with every step on
+    list rows, one interpreted update per entry, against which its packed
+    steps are checked."""
+    n = len(num)
+    u = [row[i:] for i, row in enumerate(num)]
     repairs = []
     prev = 1
     for k in range(n):
@@ -182,16 +186,24 @@ def list_bareiss_symmetric(data):
             f = row_k[i - k]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
-    return u, scales, repairs
+    return u, repairs
+
+
+def kernel_det(kernel, m):
+    """det(m) from an integer determinant kernel run on m's numerators:
+    det(num) / den^n."""
+    return Fraction(kernel(m.num), m.den ** m.rows)
 
 
 def inverse_or_rank(inverse, m):
-    """The rows of ``inverse(m)``, or the rank its SingularMatrixError
-    carries."""
+    """The rows of ``inverse(m)``, checked to be in canonical form, or the
+    rank its SingularMatrixError carries."""
     try:
-        return inverse(m).data
+        result = inverse(m)
     except SingularMatrixError as err:
         return err.rank
+    assert_canonical(result)
+    return result.data
 
 
 def naive_poly_product(a, b):
@@ -307,6 +319,214 @@ def product_operands(draw):
     return RationalMatrix.from_rows(left), RationalMatrix.from_rows(right)
 
 
+def assert_canonical(m):
+    """The stored form of m: ``rows`` integer rows of ``cols`` entries over
+    ``den > 0``, with gcd(den, every numerator) = 1."""
+    assert len(m.num) == m.rows and all(len(row) == m.cols for row in m.num)
+    assert all(isinstance(x, int) for row in m.num for x in row)
+    assert type(m.den) is int and m.den > 0
+    assert gcd(m.den, *[x for row in m.num for x in row]) == 1
+
+
+def fraction_rows(m):
+    return [list(row) for row in m.data]
+
+
+@st.composite
+def matrices(draw, rows=None, cols=None):
+    """Rational matrices of shape up to 4x4, empty shapes included, with
+    mixed denominators; all zero in a sixth of the draws."""
+    rows = draw(st.integers(0, 4)) if rows is None else rows
+    cols = draw(st.integers(0, 4)) if cols is None else cols
+    data = draw(rational_rows(rows, cols))
+    if draw(st.integers(0, 5)) == 0:
+        data = [[Fraction(0)] * cols for _ in range(rows)]
+    return RationalMatrix(rows, cols, data)
+
+
+@st.composite
+def same_shape_pairs(draw):
+    rows, cols = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return draw(matrices(rows, cols)), draw(matrices(rows, cols))
+
+
+@st.composite
+def conformal_pairs(draw):
+    r, k, c = (draw(st.integers(0, 4)) for _ in range(3))
+    return draw(matrices(r, k)), draw(matrices(k, c))
+
+
+# Integer and fractional scalars of both signs, zero included.
+scalars = st.one_of(st.integers(-6, 6), rationals)
+
+
+@st.composite
+def block_grids(draw):
+    """A grid of conformal blocks: 1-3 block rows of heights 0-3 and 1-3
+    block columns of widths 0-3."""
+    heights = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    widths = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+    return [[draw(matrices(h, w)) for w in widths] for h in heights]
+
+
+class TestIntegerRows:
+    """Every operation of ``RationalMatrix`` on its integer rows against
+    the same operation on ``Fraction`` entries, and the canonical form of
+    every result."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(same_shape_pairs(), scalars)
+    def test_entrywise_arithmetic_matches_fraction_reference(self, pair, s):
+        a, b = pair
+        fa, fb = fraction_rows(a), fraction_rows(b)
+        cases = [
+            (a + b, [[x + y for x, y in zip(r, q)] for r, q in zip(fa, fb)]),
+            (a - b, [[x - y for x, y in zip(r, q)] for r, q in zip(fa, fb)]),
+            (-a, [[-x for x in r] for r in fa]),
+            (s * a, [[s * x for x in r] for r in fa]),
+            (a * s, [[x * s for x in r] for r in fa]),
+        ]
+        if s != 0:
+            cases.append((a / s, [[x / s for x in r] for r in fa]))
+        for result, expected in cases:
+            assert_canonical(result)
+            assert (result.rows, result.cols) == (a.rows, a.cols)
+            assert result.data == expected
+            assert result == RationalMatrix(a.rows, a.cols, expected)
+        assert (a == b) == (fa == fb)
+        assert (a != b) == (fa != fb)
+        # the operands are unchanged
+        assert fraction_rows(a) == fa and fraction_rows(b) == fb
+
+    @settings(max_examples=100, deadline=None)
+    @given(conformal_pairs())
+    def test_product_matches_reference(self, pair):
+        a, b = pair
+        product = a * b
+        assert_canonical(product)
+        assert (product.rows, product.cols) == (a.rows, b.cols)
+        assert product.data == naive_product(a, b)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_views_match_reference(self, m, data):
+        assert_canonical(m)
+        f = fraction_rows(m)
+        t = m.transpose()
+        assert_canonical(t)
+        assert (t.rows, t.cols) == (m.cols, m.rows)
+        assert t.data == [[f[i][j] for i in range(m.rows)] for j in range(m.cols)]
+        assert t.transpose() == m
+        ri = data.draw(st.lists(st.integers(0, m.rows - 1), max_size=4)) if m.rows else []
+        ci = data.draw(st.lists(st.integers(0, m.cols - 1), max_size=4)) if m.cols else []
+        sub = m.submatrix(ri, ci)
+        assert_canonical(sub)
+        assert (sub.rows, sub.cols) == (len(ri), len(ci))
+        assert sub.data == [[f[i][j] for j in ci] for i in ri]
+        assert all(m[i, j] == f[i][j] for i in range(m.rows) for j in range(m.cols))
+        assert list(m.entries()) == [x for row in f for x in row]
+        assert all(type(x) is Fraction for x in m.entries())
+        if m.is_square:
+            assert m.trace() == sum((f[i][i] for i in range(m.rows)), Fraction(0))
+            assert m.submatrix(ri).data == [[f[i][j] for j in ri] for i in ri]
+
+    @settings(max_examples=100, deadline=None)
+    @given(block_grids())
+    def test_block_matches_reference(self, grid):
+        m = RationalMatrix.block(grid)
+        assert_canonical(m)
+        expected = [
+            [x for b in block_row for x in fraction_rows(b)[i]]
+            for block_row in grid for i in range(block_row[0].rows)
+        ]
+        assert (m.rows, m.cols) == (len(expected), sum(b.cols for b in grid[0]))
+        assert m.data == expected
+
+    def test_zero_results_have_denominator_one(self):
+        half = RationalMatrix.from_rows([[Fraction(1, 2), Fraction(-1, 3)]])
+        for zero in (half - half, 0 * half, half * RationalMatrix.from_rows([[0], [0]]),
+                     zmat(2, 3) / 7, half.submatrix([], [0, 1])):
+            assert_canonical(zero)
+            assert zero.den == 1
+        assert (half * 6).num == [[3, -2]] and (half * 6).den == 1
+        assert (half / -2).num == [[-3, 2]] and (half / -2).den == 12
+
+    def test_zero_by_zero(self):
+        empty = imat(0)
+        for m in (empty + empty, -empty, 3 * empty, empty * empty, empty.transpose(),
+                  imat(3).submatrix([]), RationalMatrix.block([[empty]])):
+            assert_canonical(m)
+            assert m == empty and m.data == [] and len(m.data) == 0
+        assert empty.trace() == 0
+        assert jmat(2, 0) * jmat(0, 3) == zmat(2, 3)
+
+
+class TestFractionRows:
+    """``RationalMatrix.data`` is a sequence of Fraction rows, built a row
+    at a time when read."""
+
+    def test_sequence_contract(self):
+        m = RationalMatrix.from_rows([[Fraction(1, 2), 0], [3, Fraction(-2, 3)]])
+        rows = [[Fraction(1, 2), Fraction(0)], [Fraction(3), Fraction(-2, 3)]]
+        assert m.data == rows and rows == m.data
+        assert not m.data != rows and not rows != m.data
+        assert m.data == tuple(rows) and m.data == m.transpose().transpose().data
+        assert m.data != rows[:1] and rows[:1] != m.data
+        assert m.data != 0 and m.data != [[1, 2], [3, 4]]
+        assert len(m.data) == 2
+        assert m.data[-1] == rows[-1] and m.data[0] == rows[0]
+        assert all(type(x) is Fraction for x in m.data[1])
+        assert list(m.data) == rows
+        with pytest.raises(IndexError):
+            m.data[2]
+
+    def test_reading_one_row_builds_only_that_row(self):
+        x = tnb_inverse(8, 1000, verify_product=False)
+        blocks = tnb_xblocks(8, 1000)
+        assert len(x.data) == x.rows == 7001
+        tracemalloc.start()
+        try:
+            last = x.data[-1]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one row of 7001 Fractions takes about a megabyte; all 49 M
+        # entries would take gigabytes
+        assert peak < 4_000_000
+        assert last == [row[0] for row in blocks.border_col.data] * 1000 + [blocks.corner]
+        del x
+
+    def test_materialize_shares_int_objects_across_pages(self):
+        big = 10 ** 30
+        form = StructuredBlockForm(
+            3, 3,
+            RationalMatrix.from_rows([[big, Fraction(1, 3)], [2, big + 1]]),
+            RationalMatrix.from_rows([[-big, 5], [7, Fraction(big, 7)]]),
+            RationalMatrix.from_rows([[big + 2], [-1]]),
+            Fraction(big, 2),
+        )
+        dense = form.materialize()
+        assert_canonical(dense)
+        assert dense.den == 21
+        size, pages = 2, 3
+        for k in range(pages):
+            for i in range(size):
+                expected = []
+                for p in range(pages):
+                    expected += (form.diag_block if p == k else form.offdiag_block).data[i]
+                assert dense.data[k * size + i] == expected + [form.border_col[i, 0]]
+        assert dense.data[-1] == [form.border_col[i, 0] for i in range(size)] * pages + [form.corner]
+        num = dense.num
+        for k in range(1, pages):
+            for i in range(size):
+                first, row = num[i], num[k * size + i]
+                # the same diagonal block row, off-diagonal row and hub entry
+                assert all(row[k * size + j] is first[j] for j in range(size))
+                other = next(p for p in range(1, pages) if p != k)
+                assert all(row[other * size + j] is first[other * size + j] for j in range(size))
+                assert row[-1] is first[-1]
+
+
 class TestProduct:
     @settings(max_examples=80, deadline=None)
     @given(product_operands())
@@ -367,12 +587,12 @@ class TestDeterminant:
     def test_symmetric_matches_reference(self, m):
         # det_exact sends orders below 8 to _det_general, so the symmetric
         # kernel is also called directly
-        assert det_exact(m) == naive_det(m) == _det_general(m.data) == _det_symmetric(m.data)
+        assert det_exact(m) == naive_det(m) == kernel_det(_det_general, m) == kernel_det(_det_symmetric, m)
 
     @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
     def test_symmetric_pivot_repairs(self, rows, det):
         m = RationalMatrix.from_rows(rows)
-        assert det_exact(m) == naive_det(m) == _det_symmetric(m.data) == det
+        assert det_exact(m) == naive_det(m) == kernel_det(_det_symmetric, m) == det
 
     @pytest.mark.parametrize("spec", [TnBook(6, 5), CompleteBipartite(2, 2)])
     def test_singular_distance_matrices(self, spec):
@@ -478,6 +698,7 @@ class TestSymmetricInverse:
     def test_symmetric_matches_reference(self, m):
         # inverse_exact sends orders below 4 to _inverse_general, so the
         # symmetric kernel is also called directly
+        before = [row.copy() for row in m.num]
         expected = naive_inverse(m)
         if expected is None:
             expected = naive_rank(m)
@@ -488,6 +709,7 @@ class TestSymmetricInverse:
             == inverse_or_rank(_inverse_general, m)
             == expected
         )
+        assert m.num == before
 
     @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
     def test_symmetric_pivot_repairs(self, rows, det):
@@ -545,7 +767,7 @@ class TestPackedElimination:
     @settings(max_examples=60, deadline=None)
     @given(packed_symmetric_matrices())
     def test_matches_list_reference(self, m):
-        assert _bareiss_symmetric(m.data) == list_bareiss_symmetric(m.data)
+        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
 
     def test_repairs_inside_packed_phase(self):
         # a block diagonal of [[0, 1], [1, 0]]: every even step adds row and
@@ -553,9 +775,9 @@ class TestPackedElimination:
         n = 2 * _SYMMETRIC_PACK_MIN_ORDER
         m = RationalMatrix.block([[swap2() if i == j else zmat(2, 2) for j in range(n // 2)]
                                   for i in range(n // 2)])
-        elim = _bareiss_symmetric(m.data)
-        assert elim == list_bareiss_symmetric(m.data)
-        assert [k for k, _, _ in elim[2]] == list(range(0, n, 2))
+        elim = _bareiss_symmetric(m.num)
+        assert elim == list_bareiss_symmetric(m.num)
+        assert [k for k, _, _ in elim[1]] == list(range(0, n, 2))
         assert det_exact(m) == (-1) ** (n // 2)
         assert inverse_exact(m) == m
 
@@ -572,8 +794,8 @@ class TestPackedElimination:
             rows[6][j] = rows[j][6] = rows[5][j]
         rows[6][6] = rows[5][5]
         m = RationalMatrix.from_rows(rows)
-        assert _bareiss_symmetric(m.data) is None
-        assert list_bareiss_symmetric(m.data) is None
+        assert _bareiss_symmetric(m.num) is None
+        assert list_bareiss_symmetric(m.num) is None
         assert det_exact(m) == naive_det(m) == 0
         assert inverse_or_rank(inverse_exact, m) == naive_rank(m) == n - 1
 
@@ -584,7 +806,7 @@ class TestPackedElimination:
         top = (1 << (width - 2 - _PACK_HEADROOM_BITS)) - 1
         n = _SYMMETRIC_PACK_MIN_ORDER + 8
         flat = RationalMatrix.from_rows([[-top] * n for _ in range(n)])
-        assert _bareiss_symmetric(flat.data) is None
+        assert _bareiss_symmetric(flat.num) is None
         assert det_exact(flat) == 0
         rng = Lcg(width)
         rows = [[0] * n for _ in range(n)]
@@ -592,7 +814,7 @@ class TestPackedElimination:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = top if rng.randint(0, 1) else -top
         m = RationalMatrix.from_rows(rows)
-        assert _bareiss_symmetric(m.data) == list_bareiss_symmetric(m.data)
+        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
         assert det_exact(m) == naive_det(m)
 
     @pytest.mark.parametrize("width", [8, 16, 24, 64])
@@ -648,7 +870,7 @@ class TestRank:
     def test_skipped_columns(self, m, expected):
         assert rank(m) == naive_rank(m) == expected
         if m.is_square:
-            assert _det_general(m.data) == naive_det(m)
+            assert kernel_det(_det_general, m) == naive_det(m)
             inverse = naive_inverse(m) if expected == m.rows else expected
             assert inverse_or_rank(_inverse_general, m) == inverse
 
@@ -656,13 +878,15 @@ class TestRank:
     @given(general_matrices())
     def test_general_square_matches_reference(self, m):
         expected_rank = naive_rank(m)
+        before = [row.copy() for row in m.num]
         assert rank(m) == expected_rank
-        assert _det_general(m.data) == naive_det(m)
+        assert kernel_det(_det_general, m) == naive_det(m)
         expected = naive_inverse(m)
         if expected is None:
             expected = expected_rank
             assert expected < m.rows
         assert inverse_or_rank(_inverse_general, m) == expected
+        assert m.num == before
 
     @settings(max_examples=100, deadline=None)
     @given(general_matrices(square=False))
