@@ -1,14 +1,14 @@
 """Mutation check of the exact kernels and of the integer-row matrix.
 
-    python scripts/mutants.py [--timeout SECONDS]
+    python scripts/mutants.py
 
 Each entry of MUTANTS is ``(file, old text, new text, pytest selection,
 reason)``: one exact edit of one source file, and the tests that must fail
 once it is made.  The script copies ``src/`` and ``tests/`` of this checkout
 into a temporary directory, first runs every selection there unmutated (all
 must pass), then applies one mutant at a time and runs its selection in one
-pytest process, serially, with a timeout and a fixed Hypothesis seed.  A
-mutant is
+pytest process, serially, with a timeout of TIMEOUT_S seconds and a
+fixed Hypothesis seed.  A mutant is
 
 - killed when its selection fails or does not finish within the timeout;
 - survived when its selection passes;
@@ -23,7 +23,6 @@ since it runs one test process per mutant.
 
 from __future__ import annotations
 
-import argparse
 import os
 import shutil
 import subprocess
@@ -35,7 +34,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINALG = "src/cpdist/linalg.py"
 LINALG_TESTS = "tests/test_linalg.py"
-DEFAULT_TIMEOUT_S = 300
+TIMEOUT_S = 300
 GENERAL = (LINALG_TESTS, "-x", "-k", "TestRank or TestInverse")
 REPAIRS = (LINALG_TESTS, "-x", "-k", "TestDeterminant or TestSymmetricInverse")
 
@@ -157,20 +156,20 @@ CONTROL = (
 )
 
 
-def run_selection(tree: Path, selection: tuple, timeout: float) -> str:
+def run_selection(tree: Path, selection: tuple) -> str:
     """'passed', 'failed' or 'timeout' for one pytest process in ``tree``."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--hypothesis-seed=0",
              *selection],
-            cwd=tree, env=env, capture_output=True, text=True, timeout=timeout, check=False)
+            cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S, check=False)
     except subprocess.TimeoutExpired:
         return "timeout"
     return "passed" if proc.returncode == 0 else "failed"
 
 
-def check(tree: Path, mutant: tuple, timeout: float) -> tuple:
+def check(tree: Path, mutant: tuple) -> tuple:
     """``(outcome, detail)`` of one mutant applied in ``tree``."""
     file, old, new, selection, _ = mutant
     path = tree / file
@@ -179,30 +178,26 @@ def check(tree: Path, mutant: tuple, timeout: float) -> tuple:
         return "stale", f"old text found {original.count(old)} times"
     path.write_text(original.replace(old, new), encoding="utf-8")
     try:
-        result = run_selection(tree, selection, timeout)
+        result = run_selection(tree, selection)
     finally:
         path.write_text(original, encoding="utf-8")
     return ("survived" if result == "passed" else "killed"), f"selection {result}"
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT_S,
-                        help="seconds allowed to each pytest process")
-    args = parser.parse_args(argv)
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         tree = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, tree / part, ignore=shutil.ignore_patterns("__pycache__"))
         for selection in dict.fromkeys(m[3] for m in MUTANTS + [CONTROL]):
-            result = run_selection(tree, selection, args.timeout)
+            result = run_selection(tree, selection)
             if result != "passed":
                 print(f"unmutated selection {' '.join(selection)}: {result}; nothing checked")
                 return 2
         status = 0
         for mutant in MUTANTS + [CONTROL]:
             start = time.perf_counter()
-            outcome, detail = check(tree, mutant, args.timeout)
+            outcome, detail = check(tree, mutant)
             expected = "survived" if mutant is CONTROL else "killed"
             if outcome != expected:
                 status = 1

@@ -69,10 +69,11 @@ class StructuredBlockForm:
 
     def _int_blocks(self) -> tuple:
         """``(den, diag rows, off-diagonal rows, hub column, corner)`` as
-        integers over the LCM of the denominators of the blocks that appear
-        in the matrix, which is canonical."""
+        integers over the LCM of the four denominators.  That is canonical
+        for the matrix when b > 1; at b = 1 the off-diagonal block does not
+        appear, so den may share a factor with every entry that does."""
         blocks = (self.diag_block, self.border_col, self.offdiag_block)
-        den = lcm(self.corner.denominator, *[m.den for m in blocks[:2 + (self.b > 1)]])
+        den = lcm(self.corner.denominator, *[m.den for m in blocks])
         diag, border, off = (_rescaled(m.num, den // m.den) for m in blocks)
         corner = self.corner.numerator * (den // self.corner.denominator)
         return den, diag, off, [row[0] for row in border], corner
@@ -84,8 +85,11 @@ class StructuredBlockForm:
         with the diagonal block row slice-assigned in place: one pointer copy
         per entry, the same int objects on every page.  Each off-diagonal
         position holds its own ``_DistinctInt``: on the order-7001 book
-        inverse, rows of a few shared small ints took 440 ms to build and
-        free, against 315 ms (2-vCPU VM, Python 3.11)."""
+        inverse (collector off, 2-vCPU VM, Python 3.11, medians of 9 fresh
+        processes), rows of a few shared small ints took 316 ms to build
+        and 139 ms to free, against 253 and 97 ms.  At b = 1 the
+        off-diagonal block does not appear, and one gcd pass makes the
+        matrix canonical."""
         size, b = self.n - 1, self.b
         den, diag_rows, off_rows, border, corner = self._int_blocks()
         templates = [list(map(_DistinctInt, row)) * b + [hub] for row, hub in zip(off_rows, border)]
@@ -98,7 +102,8 @@ class StructuredBlockForm:
                 num.append(row)
         num.append(border * b + [corner])
         order = b * size + 1
-        return RationalMatrix._of(order, order, num, den)
+        build = RationalMatrix._of if b > 1 else RationalMatrix._reduced
+        return build(order, order, num, den)
 
 
 class _DistinctInt(int):

@@ -316,13 +316,22 @@ def det_exact(m: RationalMatrix) -> Fraction:
     A symmetric matrix (every distance matrix) of order
     ``_SYMMETRIC_DET_MIN_ORDER`` = 8 or more takes ``_det_symmetric``, which
     updates only the upper triangle and repairs a zero pivot by a symmetric
-    swap or addition; any other matrix, and a smaller symmetric one, is
-    reduced in full.  On tree and K_{m,n} distance matrices (2-vCPU VM,
-    Python 3.11) the half-triangle path is 1.08-1.38x slower at orders 2-5
-    and 1.02-1.18x faster at orders 10-20.  From order
-    ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 it packs its trailing rows
-    (``_bareiss_packed``): 0.82-0.88x the time of list rows at order 32 and
-    0.29-0.34x at order 200 (tree distance matrices, BENCH_15.json).
+    swap or addition.  Any other matrix, and a smaller symmetric one, is
+    reduced in full, with the first nonzero entry of each column as its
+    pivot.  Measured on tree and K_{m,n} distance matrices of orders 2-20
+    (2-vCPU VM, Python 3.11), the half-triangle path takes 1.08-1.38x the
+    time of the full one at orders 2-5, is within 5% of it at orders 6-9
+    and is 1.02-1.18x faster at orders 10-20.
+
+    From order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 the half-triangle path
+    packs each trailing row into one int (``_bareiss_packed``) while the
+    trailing block has ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 rows or more, so a
+    row update costs a few bigint operations instead of one interpreted
+    operation per entry.  On seed-42 tree distance matrices (same VM) that
+    takes 0.93-1.04x the time of list rows alone at order 24, 0.82-0.88x
+    at 32, 0.45-0.6x at 50, 0.35-0.4x at 100 and 0.29-0.34x at 200, and
+    0.45x / 0.24-0.32x on the order-71 / order-141 book distance matrices
+    (timeit samples and the two runs behind BENCH_15.json).
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -404,9 +413,13 @@ def _bareiss_symmetric(num: list):
 
     In a matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more, the
     steps that start with ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 or more rows in
-    the trailing block run in ``_bareiss_packed`` on rows packed into one
-    int each; the later steps, and every smaller matrix, update list rows.
-    Both give the same rows.
+    the trailing block run in ``_bareiss_packed``, on rows packed into one
+    int each, so a row update is a few bigint operations instead of one
+    interpreted operation per entry; its docstring gives the slot width
+    bound and why the packed division is exact.  The later steps, and
+    every smaller matrix, update list rows.  Both give the same rows; on
+    the order-200 tree distance matrix the determinant takes 0.29-0.34x
+    the time of list rows alone (``det_exact`` has the other ratios).
 
     Returns ``(u, repairs)``: the finished rows of the Bareiss elimination
     of B = E^T A E, where E is the product of the logged repairs
@@ -601,11 +614,18 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     ``det_exact`` also runs, then fraction-free back-substitution on the
     upper triangle, about n^3/2 bigint products.  Any other matrix, and a
     smaller symmetric one, takes ``_inverse_general``: the full Bareiss
-    elimination of [num | I] and back-substitution, about 4n^3/3.  On tree
-    and K_{m,n} distance matrices (2-vCPU VM, Python 3.11) the symmetric
-    path is 1.04-1.26x slower at orders 2-3 and 1.6-1.85x faster at orders
-    13-20; its packed elimination (order 24 on, as in ``det_exact``) takes
-    it to 0.67-0.79x at order 100.
+    elimination of [num | I] and back-substitution, about 4n^3/3.
+    Measured on tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU
+    VM, Python 3.11), the symmetric path takes 1.04-1.26x the time of the
+    full one at orders 2-3 and is faster from order 4 on: 1.04-1.05x at
+    order 4, 1.3-1.5x at orders 7-12 and 1.6-1.85x at orders 13-20.
+
+    The elimination packs its trailing rows from order 24 on, as in
+    ``det_exact``; the back-substitution stays on lists, so the gain is
+    smaller.  On seed-42 tree distance matrices (same VM) the inverse takes
+    0.94-1.02x the time it took with list rows alone at order 24, 0.9-1.09x
+    at 32, 0.81-0.86x at 50 and 0.67-0.79x at 100, and 0.77x / 0.53-0.66x
+    on the order-71 / order-141 book distance matrices.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
@@ -761,13 +781,23 @@ class CharPoly:
         terms = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c:
-                mag, xpow = rational_str(abs(c)), "x" if k == 1 else f"x^{k}"
-                body = mag if k == 0 else xpow if mag == "1" else f"{mag}*{xpow}"
-                terms.append(f" {'-' if c < 0 else '+'} {body}")
+            if c == 0:
+                continue
+            if k == 0:
+                body = rational_str(abs(c))
+            else:
+                mag = abs(c)
+                xpow = "x" if k == 1 else f"x^{k}"
+                body = xpow if mag == 1 else f"{rational_str(mag)}*{xpow}"
+            sign = "-" if c < 0 else "+"
+            terms.append((sign, body))
         if not terms:
             return "0"
-        return ("-" if terms[0][1] == "-" else "") + terms[0][3:] + "".join(terms[1:])
+        first_sign, first_body = terms[0]
+        out = ("-" if first_sign == "-" else "") + first_body
+        for sign, body in terms[1:]:
+            out += f" {sign} {body}"
+        return out
 
 
 def _convolve(a: list, b: list) -> list:

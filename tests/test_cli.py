@@ -119,6 +119,18 @@ class TestBookCsv:
         form = cf.tnb_inverse_form(n, b)
         assert _matrix_csv(form) == _matrix_csv(form.materialize())
 
+    def test_single_page_form(self):
+        # b = 1: the off-diagonal block, over 7, appears nowhere
+        form = cf.StructuredBlockForm(
+            3, 1,
+            RationalMatrix.from_rows([[1, Fraction(1, 2)], [3, 4]]),
+            RationalMatrix.from_rows([[Fraction(1, 7), 0], [0, 5]]),
+            RationalMatrix.from_rows([[5], [6]]),
+            Fraction(7),
+        )
+        assert _matrix_csv(form) == "1,1/2,5\n3,4,6\n5,6,7\n"
+        assert _matrix_csv(form) == _matrix_csv(form.materialize())
+
 
 class TestDet:
     def test_book_example(self, capsys):

@@ -526,6 +526,25 @@ class TestFractionRows:
                 assert all(row[other * size + j] is first[other * size + j] for j in range(size))
                 assert row[-1] is first[-1]
 
+    def test_materialize_single_page_is_canonical(self):
+        # at b = 1 the off-diagonal block does not appear, so its
+        # denominator must not stay in the matrix's
+        form = StructuredBlockForm(
+            3, 1,
+            RationalMatrix.from_rows([[1, 2], [3, 4]]),
+            RationalMatrix.from_rows([[Fraction(1, 7), 0], [0, 5]]),
+            RationalMatrix.from_rows([[5], [6]]),
+            Fraction(7),
+        )
+        den, diag, off, hub, corner = form._int_blocks()
+        for block, rows in ((form.diag_block, diag), (form.offdiag_block, off)):
+            assert [[Fraction(x, den) for x in row] for row in rows] == block.data
+        assert (hub, corner) == ([5 * den, 6 * den], 7 * den)
+        dense = form.materialize()
+        assert_canonical(dense)
+        assert dense.den == 1
+        assert dense.data == [[1, 2, 5], [3, 4, 6], [5, 6, 7]]
+
 
 class TestProduct:
     @settings(max_examples=80, deadline=None)
