@@ -16,7 +16,8 @@ sides of one.
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
 order-71 and order-141 book distance matrices, the determinants and
-inverses of seed-42 tree distance matrices of orders 16-100, the claimed
+inverses of seed-42 tree distance matrices of orders 16-100 and of a few
+below order 8, the claimed
 characteristic polynomial of the largest spectra-suite claim, and the
 non-symmetric determinant, inverse and rank of random integer matrices
 of orders 3-71 and the rank of a singular one), L1 the closed forms with
@@ -67,6 +68,9 @@ INVERSE_BOOKS = ((8, 10), (8, 20))
 # rows on both sides of the order from which the symmetric elimination
 # packs its rows; below order 30 each sample averages GENERAL_REPEAT calls.
 TREE_ORDERS = (16, 24, 32, 50, 100)
+# Small seed-42 tree distance matrices, ``(kernel, order)``: symmetric
+# inputs that take microseconds, each sample averaging GENERAL_REPEAT calls.
+SMALL_TREE_CASES = (("det_exact", 4), ("det_exact", 6), ("inverse_exact", 3))
 # The spectra suite's largest claim: degree 36, a quadratic factor and
 # linear factors of multiplicity up to 30.
 CLAIM = ("NC", 10, 5)
@@ -137,15 +141,16 @@ def l0_cases() -> list:
                  f"d = all_pairs_distances(build_family(TnBook({n}, {b})))")
         cases.append(("inverse_exact", {"order": b * (n - 1) + 1, "matrix": f"tn-book distance n={n} b={b}"},
                       setup, "inverse_exact(d)", L0_CALLS, 1))
-    for order in TREE_ORDERS:
+    tree_cases = [*SMALL_TREE_CASES,
+                  *[(name, order) for order in TREE_ORDERS for name in ("det_exact", "inverse_exact")]]
+    for name, order in tree_cases:
         setup = ("from cpdist import graphs as gr\n"
                  "from cpdist.linalg import det_exact, inverse_exact\n"
                  "from cpdist.rng import Lcg, random_tree_edges\n"
                  f"d = gr.all_pairs_distances(gr.build_family(gr.Tree(random_tree_edges({order}, Lcg(42)))))")
         repeat = GENERAL_REPEAT if order < 30 else 1
-        for name in ("det_exact", "inverse_exact"):
-            cases.append((name, {"order": order, "matrix": f"tree n={order} seed=42 distance"},
-                          setup, f"{name}(d)", GENERAL_CALLS, repeat))
+        cases.append((name, {"order": order, "matrix": f"tree n={order} seed=42 distance"},
+                      setup, f"{name}(d)", GENERAL_CALLS, repeat))
     for order in GENERAL_ORDERS:
         setup = ("from cpdist.linalg import det_exact, inverse_exact, rank\n"
                  "from cpdist.rng import Lcg, random_invertible\n"

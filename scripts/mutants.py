@@ -37,6 +37,7 @@ LINALG_TESTS = "tests/test_linalg.py"
 TIMEOUT_S = 300
 GENERAL = (LINALG_TESTS, "-x", "-k", "TestRank or TestInverse")
 REPAIRS = (LINALG_TESTS, "-x", "-k", "TestDeterminant or TestSymmetricInverse")
+PACKED = (LINALG_TESTS, "-x", "-k", "TestPackedElimination")
 
 MUTANTS = [
     # The integer-row matrix.
@@ -131,26 +132,29 @@ MUTANTS = [
     (LINALG,
      "bound = (abs(p) * bound + g * g) // abs(prev) + 1",
      "bound = abs(p) * bound // abs(prev) + 1",
-     # Named cases only: the Hypothesis test also fails, but shrinking its
-     # large examples outlasts any sensible timeout.
-     (LINALG_TESTS, "-x", "-k", "test_extreme_entries_at_slot_boundary or test_repairs_inside_packed_phase"),
+     PACKED,
      "drop G_k^2 from the packed slot bound"),
     (LINALG,
-     "(t := (t + half) >> w)",
-     "(t := t >> w)",
-     (LINALG_TESTS, "-x", "-k", "test_repairs_inside_packed_phase or test_extreme_entries_at_slot_boundary"),
+     "t = (t + half) >> w",
+     "t = t >> w",
+     PACKED,
      "floor shift in place of the rounding shift of packed rows"),
     (LINALG,
      "if bound.bit_length() + 2 > w:",
      "if False:",
-     (LINALG_TESTS, "-x", "-k", "test_extreme_entries_at_slot_boundary or test_repairs_inside_packed_phase"),
+     PACKED,
      "skip the widening of packed slots"),
+    (LINALG,
+     "    for k in range(n):\n        row_k = _unpack(",
+     "    for k in range(n - 1):\n        row_k = _unpack(",
+     (LINALG_TESTS, "-x", "-k", "test_last_steps"),
+     "stop the packed elimination one step early"),
 ]
 
 CONTROL = (
     LINALG,
-    "# t runs through R_k shifted right by 1, 2, ... slots.",
-    "# t runs through the pivot row shifted right by 1, 2, ... slots.",
+    "# u[k] holds the finished row, so its packed form is dropped;",
+    "# u[k] holds the finished pivot row, so its packed form is dropped;",
     (LINALG_TESTS, "-k", "TestPackedElimination"),
     "harmless: reword a comment",
 )

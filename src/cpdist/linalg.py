@@ -9,11 +9,12 @@ Determinants, ranks and inverses come from fraction-free Bareiss
 elimination (inverses by fraction-free back-substitution and one division
 by the last pivot), characteristic polynomials from a reduction to upper
 Hessenberg form by similarity and the Hessenberg recurrence (both O(n^3)).
-A symmetric matrix, such as every distance matrix, is eliminated on its
-upper triangle only (a zero pivot is repaired by swapping or adding a later
-row and column), from order 24 on with each trailing row packed into one
-int (Kronecker substitution); any other matrix, and a small symmetric one,
-is eliminated in full by one routine that skips pivotless columns.  These
+The shape of the input alone picks the elimination: a symmetric matrix,
+such as every distance matrix, is eliminated on its upper triangle only (a
+zero pivot is repaired by swapping or adding a later row and column), from
+order 24 on with each trailing row packed into one int (Kronecker
+substitution); any other matrix is eliminated in full by one routine that
+skips pivotless columns.  These
 routines double as the brute-force oracles for every closed-form formula in
 the package, so they are generic dense algorithms and share no shortcut
 with the closed forms they check.
@@ -29,19 +30,10 @@ from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
 
-# Smallest orders at which det_exact and inverse_exact send symmetric input
-# to the half-triangle kernels; below them the full reductions are faster
-# (the measured crossovers are in the docstrings of the two functions).
-_SYMMETRIC_DET_MIN_ORDER = 8
-_SYMMETRIC_INVERSE_MIN_ORDER = 4
-# _bareiss_symmetric packs its trailing rows into ints from this order on,
-# and keeps them packed while the trailing block has at least this many
-# rows.  A packed step pays from about 12 rows, but packing and unpacking
-# the block cost about two list steps, which pays off from order 24
+# _bareiss_symmetric packs its trailing rows into ints from this order on
 # (measured in det_exact's docstring).  Each packed slot gets spare bits so
 # that slots are not widened at every step.
 _SYMMETRIC_PACK_MIN_ORDER = 24
-_SYMMETRIC_PACK_MIN_ROWS = 12
 _PACK_HEADROOM_BITS = 16
 
 
@@ -313,29 +305,24 @@ def det_exact(m: RationalMatrix) -> Fraction:
     """Exact determinant by fraction-free Bareiss elimination of the integer
     rows: det(m) = det(num) / den^n, and 1 for the 0x0 matrix.
 
-    A symmetric matrix (every distance matrix) of order
-    ``_SYMMETRIC_DET_MIN_ORDER`` = 8 or more takes ``_det_symmetric``, which
-    updates only the upper triangle and repairs a zero pivot by a symmetric
-    swap or addition.  Any other matrix, and a smaller symmetric one, is
-    reduced in full, with the first nonzero entry of each column as its
-    pivot.  Measured on tree and K_{m,n} distance matrices of orders 2-20
-    (2-vCPU VM, Python 3.11), the half-triangle path takes 1.08-1.38x the
-    time of the full one at orders 2-5, is within 5% of it at orders 6-9
-    and is 1.02-1.18x faster at orders 10-20.
+    Every symmetric matrix (every distance matrix, and the 0x0 and 1x1
+    ones) takes ``_det_symmetric``, which updates only the upper triangle
+    and repairs a zero pivot by a symmetric swap or addition.  Every other
+    matrix is reduced in full, with the first nonzero entry of each column
+    as its pivot.
 
     From order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 the half-triangle path
-    packs each trailing row into one int (``_bareiss_packed``) while the
-    trailing block has ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 rows or more, so a
-    row update costs a few bigint operations instead of one interpreted
-    operation per entry.  On seed-42 tree distance matrices (same VM) that
-    takes 0.93-1.04x the time of list rows alone at order 24, 0.82-0.88x
-    at 32, 0.45-0.6x at 50, 0.35-0.4x at 100 and 0.29-0.34x at 200, and
-    0.45x / 0.24-0.32x on the order-71 / order-141 book distance matrices
-    (timeit samples and the two runs behind BENCH_15.json).
+    packs each trailing row into one int (``_bareiss_packed``) for every
+    step, so a row update costs a few bigint operations instead of one
+    interpreted operation per entry.  On seed-42 tree distance matrices
+    (2-vCPU VM, Python 3.11, medians of 7 timing samples) the packed
+    elimination takes 2.4x the time of list rows at order 8, 1.3x at 16,
+    1.08x at 20, 0.97x at 24, 0.73x at 32, 0.52x at 50 and 0.33-0.34x at
+    100 and 200.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
-    if m.rows >= _SYMMETRIC_DET_MIN_ORDER and m.is_symmetric():
+    if m.is_symmetric():
         return Fraction(_det_symmetric(m.num), m.den ** m.rows)
     return Fraction(_det_general(m.num), m.den ** m.rows)
 
@@ -411,15 +398,12 @@ def _bareiss_symmetric(num: list):
     congruences, so neither the determinant, nor its sign, nor the
     exactness of Bareiss's divisions changes.
 
-    In a matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more, the
-    steps that start with ``_SYMMETRIC_PACK_MIN_ROWS`` = 12 or more rows in
-    the trailing block run in ``_bareiss_packed``, on rows packed into one
-    int each, so a row update is a few bigint operations instead of one
-    interpreted operation per entry; its docstring gives the slot width
-    bound and why the packed division is exact.  The later steps, and
-    every smaller matrix, update list rows.  Both give the same rows; on
-    the order-200 tree distance matrix the determinant takes 0.29-0.34x
-    the time of list rows alone (``det_exact`` has the other ratios).
+    A matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more runs every
+    step in ``_bareiss_packed``, on rows packed into one int each, so a row
+    update is a few bigint operations instead of one interpreted operation
+    per entry; its docstring gives the slot width bound and why the packed
+    division is exact.  A smaller matrix updates list rows.  Both give the
+    same rows; ``det_exact`` has the measured ratios.
 
     Returns ``(u, repairs)``: the finished rows of the Bareiss elimination
     of B = E^T A E, where E is the product of the logged repairs
@@ -430,13 +414,10 @@ def _bareiss_symmetric(num: list):
     n = len(num)
     u = [row[i:] for i, row in enumerate(num)]
     repairs = []
-    start, prev = 0, 1
     if n >= _SYMMETRIC_PACK_MIN_ORDER:
-        packed = _bareiss_packed(u, repairs)
-        if packed is None:
-            return None
-        start, prev = packed
-    for k in range(start, n):
+        return (u, repairs) if _bareiss_packed(u, repairs) else None
+    prev = 1
+    for k in range(n):
         if u[k][0] == 0 and not _repair_zero_pivot(u, k, repairs):
             return None
         row_k = u[k]
@@ -459,10 +440,9 @@ def _repair_zero_pivot(u: list, k: int, repairs: list) -> bool:
     return True
 
 
-def _bareiss_packed(u: list, repairs: list):
-    """The steps of ``_bareiss_symmetric`` that leave at least
-    ``_SYMMETRIC_PACK_MIN_ROWS`` rows in the trailing block, run in place on
-    ``u`` with each trailing row packed into one int.
+def _bareiss_packed(u: list, repairs: list) -> bool:
+    """Every step of ``_bareiss_symmetric``, run in place on ``u`` with each
+    trailing row packed into one int.
 
     Trailing row i is R_i = sum_t u[i][t] * 2^(w*t), with balanced digits
     |u[i][t]| < 2^(w-1) (Kronecker substitution).  Step k unpacks the pivot
@@ -485,23 +465,22 @@ def _bareiss_packed(u: list, repairs: list):
     ``_repair_pivot`` on the lists, recomputes M from the block and packs
     it again.
 
-    Returns ``(k, prev)``, the first step left to the list loop and the
-    last pivot, with rows k.. unpacked into ``u``; or None when a trailing
+    Returns True with the finished rows in ``u``, or False when a trailing
     row is all zero.
     """
     n = len(u)
     if u[0][0] == 0 and not _repair_zero_pivot(u, 0, repairs):
-        return None
+        return False
     bound = max(max(map(abs, row)) for row in u)
     w = _slot_width(bound)
     rows = [_pack(row, w) for row in u]
-    k, prev = 0, 1
-    while n - k >= _SYMMETRIC_PACK_MIN_ROWS:
+    prev = 1
+    for k in range(n):
         row_k = _unpack(rows[k], n - k, w)
         if row_k[0] == 0:
             u[k:] = [_unpack(r, n - i, w) for i, r in enumerate(rows[k:], k)]
             if not _repair_zero_pivot(u, k, repairs):
-                return None
+                return False
             bound = max(max(map(abs, row)) for row in u[k:])
             w = _slot_width(bound)
             rows[k:] = [_pack(row, w) for row in u[k:]]
@@ -512,17 +491,18 @@ def _bareiss_packed(u: list, repairs: list):
         bound = (abs(p) * bound + g * g) // abs(prev) + 1
         if bound.bit_length() + 2 > w:
             wider = _slot_width(bound)
-            rows[k:] = [_widen(r, n - i, w, wider) for i, r in enumerate(rows[k:], k)]
+            for i in range(k, n):
+                rows[i] = _widen(rows[i], n - i, w, wider)
             w = wider
-        # t runs through R_k shifted right by 1, 2, ... slots.
-        half, t = 1 << (w - 1), rows[k]
-        rows[k + 1:] = [
-            (p * r - f * (t := (t + half) >> w)) // prev for r, f in zip(rows[k + 1:], row_k[1:])
-        ]
+        # u[k] holds the finished row, so its packed form is dropped; t runs
+        # through R_k shifted right by 1, 2, ... slots, and each trailing
+        # row is replaced in place, so no step holds two trailing blocks.
+        half, t, rows[k] = 1 << (w - 1), rows[k], None
+        for i in range(k + 1, n):
+            t = (t + half) >> w
+            rows[i] = (p * rows[i] - row_k[i - k] * t) // prev
         prev = p
-        k += 1
-    u[k:] = [_unpack(r, n - i, w) for i, r in enumerate(rows[k:], k)]
-    return k, prev
+    return True
 
 
 def _slot_width(bound: int) -> int:
@@ -608,28 +588,18 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     ``SingularMatrixError`` carrying its rank, and the 0x0 matrix is its
     own inverse.
 
-    A symmetric matrix (every distance matrix) of order
-    ``_SYMMETRIC_INVERSE_MIN_ORDER`` = 4 or more takes
-    ``_inverse_symmetric``: the half-triangle Bareiss elimination that
-    ``det_exact`` also runs, then fraction-free back-substitution on the
-    upper triangle, about n^3/2 bigint products.  Any other matrix, and a
-    smaller symmetric one, takes ``_inverse_general``: the full Bareiss
-    elimination of [num | I] and back-substitution, about 4n^3/3.
-    Measured on tree and K_{m,n} distance matrices of orders 2-20 (2-vCPU
-    VM, Python 3.11), the symmetric path takes 1.04-1.26x the time of the
-    full one at orders 2-3 and is faster from order 4 on: 1.04-1.05x at
-    order 4, 1.3-1.5x at orders 7-12 and 1.6-1.85x at orders 13-20.
-
-    The elimination packs its trailing rows from order 24 on, as in
-    ``det_exact``; the back-substitution stays on lists, so the gain is
-    smaller.  On seed-42 tree distance matrices (same VM) the inverse takes
-    0.94-1.02x the time it took with list rows alone at order 24, 0.9-1.09x
-    at 32, 0.81-0.86x at 50 and 0.67-0.79x at 100, and 0.77x / 0.53-0.66x
-    on the order-71 / order-141 book distance matrices.
+    Every symmetric matrix (every distance matrix, and the 0x0 and 1x1
+    ones) takes ``_inverse_symmetric``: the half-triangle Bareiss
+    elimination that ``det_exact`` also runs, then fraction-free
+    back-substitution on the upper triangle, about n^3/2 bigint products.
+    Every other matrix takes ``_inverse_general``: the full Bareiss
+    elimination of [num | I] and back-substitution, about 4n^3/3.  The
+    elimination packs its trailing rows from order 24 on, as in
+    ``det_exact``; the back-substitution stays on lists.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
-    if m.rows >= _SYMMETRIC_INVERSE_MIN_ORDER and m.is_symmetric():
+    if m.is_symmetric():
         return _inverse_symmetric(m)
     return _inverse_general(m)
 

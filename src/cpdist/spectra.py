@@ -94,27 +94,11 @@ def part_indices(part: str, n: int, b: int) -> tuple:
 
 def principal_submatrix(part: str, n: int, b: int) -> RationalMatrix:
     """Correction-matrix principal submatrix for the requested vertex part,
-    read from the blocks of ``tnb_rmat(n, b)`` without materializing it.
-
-    Non-hub label v lies in page (v-1) // (n-1) at local index
-    (v-1) % (n-1); two labels on one page read ``diag_block``, on different
-    pages ``offdiag_block``, and the hub reads ``border_col`` or
-    ``corner``, all as integers over one denominator."""
+    cut out of the materialized ``tnb_rmat(n, b)``."""
     labels = part_indices(part, n, b)
     if not labels:
         raise ValueError("empty index set")
-    form = tnb_rmat(n, b)
-    den, diag, off, border, corner = form._int_blocks()
-    # (page, local index) of each label; the hub has page None
-    places = [(None, None) if v == form.order else divmod(v - 1, n - 1) for v in labels]
-    rows = []
-    for page, i in places:
-        if page is None:
-            rows.append([corner if q is None else border[j] for q, j in places])
-        else:
-            d, o = diag[i], off[i]
-            rows.append([border[i] if q is None else (d if q == page else o)[j] for q, j in places])
-    return RationalMatrix._reduced(len(labels), len(labels), rows, den)
+    return tnb_rmat(n, b).materialize().submatrix([v - 1 for v in labels])
 
 
 def verify_claim(m: RationalMatrix, claim: SpectrumClaim) -> ClaimCheck:

@@ -5,7 +5,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from cpdist.closed_form import (
@@ -187,6 +187,28 @@ def list_bareiss_symmetric(num):
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
     return u, repairs
+
+
+def congruent_tail(n, tail, seed):
+    """The symmetric integer matrix L diag(h, tail) L^T of order n, for h a
+    diagonal of nonzero entries and L a unit lower triangle with entries
+    drawn from ``Lcg(seed)`` below the diagonal, except within the tail
+    block.  Its leading minors up to order h = n - len(tail) are products of
+    h's entries, so the symmetric elimination needs no repair there, and
+    after h steps its trailing block is det(diag(h)) times ``tail`` (the
+    Schur complement), so the tail's repairs and zero rows happen at the
+    same steps past h."""
+    rng = Lcg(seed)
+    h = n - len(tail)
+    ell = [[int(i == j) if j >= i or j >= h else rng.randint(-3, 3) for j in range(n)]
+           for i in range(n)]
+    d = [[0] * n for _ in range(n)]
+    for i in range(h):
+        d[i][i] = rng.randint(1, 9) * (1 if rng.randint(0, 1) else -1)
+    for i, row in enumerate(tail):
+        d[h + i][h:] = row
+    lower = RationalMatrix.from_rows(ell)
+    return lower * RationalMatrix.from_rows(d) * lower.transpose()
 
 
 def kernel_det(kernel, m):
@@ -604,9 +626,9 @@ class TestDeterminant:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_matrices())
     def test_symmetric_matches_reference(self, m):
-        # det_exact sends orders below 8 to _det_general, so the symmetric
-        # kernel is also called directly
-        assert det_exact(m) == naive_det(m) == kernel_det(_det_general, m) == kernel_det(_det_symmetric, m)
+        # det_exact sends every symmetric matrix to _det_symmetric, so the
+        # general kernel is also called directly
+        assert det_exact(m) == naive_det(m) == kernel_det(_det_general, m)
 
     @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
     def test_symmetric_pivot_repairs(self, rows, det):
@@ -715,19 +737,14 @@ class TestSymmetricInverse:
     @settings(max_examples=200, deadline=None)
     @given(symmetric_matrices())
     def test_symmetric_matches_reference(self, m):
-        # inverse_exact sends orders below 4 to _inverse_general, so the
-        # symmetric kernel is also called directly
+        # inverse_exact sends every symmetric matrix to _inverse_symmetric,
+        # so the general kernel is also called directly
         before = [row.copy() for row in m.num]
         expected = naive_inverse(m)
         if expected is None:
             expected = naive_rank(m)
             assert expected < m.rows
-        assert (
-            inverse_or_rank(inverse_exact, m)
-            == inverse_or_rank(_inverse_symmetric, m)
-            == inverse_or_rank(_inverse_general, m)
-            == expected
-        )
+        assert inverse_or_rank(inverse_exact, m) == inverse_or_rank(_inverse_general, m) == expected
         assert m.num == before
 
     @pytest.mark.parametrize("rows, det", SYMMETRIC_REPAIRS)
@@ -780,10 +797,13 @@ class TestSymmetricInverse:
 
 
 class TestPackedElimination:
-    """The steps of ``_bareiss_symmetric`` on packed rows give the rows,
-    scales and repair log of the list loop."""
+    """The steps of ``_bareiss_symmetric`` on packed rows give the rows and
+    the repair log of ``list_bareiss_symmetric``."""
 
-    @settings(max_examples=60, deadline=None)
+    # No shrink phase: shrinking these large examples takes minutes when the
+    # packed elimination is wrong, and the unshrunk example fails just the
+    # same.
+    @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(packed_symmetric_matrices())
     def test_matches_list_reference(self, m):
         assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
@@ -800,9 +820,32 @@ class TestPackedElimination:
         assert det_exact(m) == (-1) ** (n // 2)
         assert inverse_exact(m) == m
 
+    # Tails whose repair or zero row comes at step n-2 or n-1, within the
+    # last steps of a packed elimination: a swap and an add repair at n-2,
+    # and (row 2 of the tail is twice row 1 minus row 0) a zero row at n-1.
+    @pytest.mark.parametrize("n, tail, is_swap", [
+        pytest.param(24, [[1, 1, 1], [1, 1, 2], [1, 2, 3]], True, id="swap"),
+        pytest.param(27, [[1, 1, 1], [1, 1, 2], [1, 2, 1]], False, id="add"),
+        pytest.param(30, [[1, 1, 1], [1, 2, 3], [1, 3, 5]], None, id="zero-row"),
+    ])
+    def test_last_steps(self, n, tail, is_swap):
+        m = congruent_tail(n, tail, n)
+        elim = _bareiss_symmetric(m.num)
+        assert elim == list_bareiss_symmetric(m.num)
+        if is_swap is None:
+            assert elim is None
+        else:
+            assert elim[1] == [(n - 2, n - 1, is_swap)]
+        assert det_exact(m) == naive_det(m)
+        expected = naive_inverse(m)
+        if expected is None:
+            expected = naive_rank(m)
+            assert expected == n - 1
+        assert inverse_or_rank(inverse_exact, m) == expected
+
     def test_zero_trailing_row_in_packed_phase(self):
         # rows and columns 5 and 6 are equal, so row 6 of the trailing block
-        # is all zero at step 6, long before the list loop takes over
+        # is all zero at step 6
         n = _SYMMETRIC_PACK_MIN_ORDER + 16
         rng = Lcg(5)
         rows = [[0] * n for _ in range(n)]

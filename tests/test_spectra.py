@@ -4,8 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from cpdist.closed_form import tn_rmat, tnb_rmat
-from cpdist.linalg import CharPoly, SpectrumClaim, char_poly_exact, imat
+from cpdist.closed_form import tn_rmat
+from cpdist.graphs import TnBook, all_pairs_distances, build_family, laplacian
+from cpdist.linalg import CharPoly, SpectrumClaim, char_poly_exact, imat, inverse_exact, jmat
 from cpdist.spectra import (
     claimed_spectrum,
     part_indices,
@@ -71,10 +72,13 @@ class TestSubmatrices:
     @pytest.mark.parametrize("b", [2, 3, 5])
     @pytest.mark.parametrize("part", ["B", "N", "NC"])
     def test_submatrix_reads_the_materialized_matrix(self, part, n, b):
-        # principal_submatrix reads the blocks; cutting the part out of the
-        # dense correction matrix must give the same entries
-        zero_based = [v - 1 for v in part_indices(part, n, b)]
-        expected = tnb_rmat(n, b).materialize().submatrix(zero_based)
+        # D^-1 = -L/2 + J/(2b) + R/(2(n-6)b) solved for R, with D^-1 and L
+        # from the graph by the oracles, not from the closed form
+        g = build_family(TnBook(n, b))
+        order = g.vertex_count
+        r = (2 * (n - 6) * b * inverse_exact(all_pairs_distances(g))
+             + (n - 6) * b * laplacian(g) - (n - 6) * jmat(order, order))
+        expected = r.submatrix([v - 1 for v in part_indices(part, n, b)])
         assert principal_submatrix(part, n, b) == expected
 
 
