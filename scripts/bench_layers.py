@@ -5,31 +5,44 @@
 
 DIR is the root of a checkout (``src/``, ``tests/``, ``perfbench/``);
 ``--after`` defaults to this repository, and a commit to compare against can
-be exported with ``git archive REV | tar -x -C DIR``.  Every measurement runs in a fresh
-interpreter with that checkout's ``src/`` on ``PYTHONPATH``, so the two
-sides never share a module.  Each row is ``{layer, name, params, ms}``,
-with ``params.rev`` naming the side, one row per line; each run writes
-the file afresh.  Each measurement runs on the two sides back to back, so
-the drift of a shared machine falls between measurements, not between the
-sides of one.
+be exported with ``git archive REV | tar -x -C DIR``.  The two resolved
+paths must be of one length: the length of a checkout's path alone moves
+perfbench's ``peak_rss_mb`` by up to half a megabyte.
+
+Every row is measured the same way.  In each of PAIRS rounds (TIER1_PAIRS
+for the Tier-1 run, which takes about 27 s) a measure runs once per side,
+each run in a fresh interpreter with that checkout's ``src/`` on
+``PYTHONPATH``, the before side first in even rounds and the after side
+first in odd ones, so the drift of a shared machine falls on both sides
+alike.  A child that exits non-zero stops the run and prints its stderr.
+A measure returns ``{metric: value}``, the metric naming its unit, and each
+metric is written as two rows, before then after, one row per line:
+
+    {"layer", "name", "params", "metric", "rev",
+     "median", "q1", "q3", "values", "pairs_after_lower"}
+
+``values`` are the per-process values in round order, to 5 significant
+digits; ``median``, ``q1`` and ``q3`` are theirs.  ``pairs_after_lower``,
+on the after row only, counts the rounds whose after value is lower than
+the before value; ties count for neither side.  Each run writes the file
+afresh.
 
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
 order-71 and order-141 book distance matrices, the determinants and
 inverses of seed-42 tree distance matrices of orders 16-100 and of a few
-below order 8, the claimed
-characteristic polynomial of the largest spectra-suite claim, and the
-non-symmetric determinant, inverse and rank of random integer matrices
-of orders 3-71 and the rank of a singular one), L1 the closed forms with
-their self-checks, the order-7001 book inverse as ``bench`` assembles it,
-and scalar times, sum and comparison of the order-71 book inverse, L2 each
-of the five verify suites, L3 whole
+below order 8, the claimed characteristic polynomial of the largest
+spectra-suite claim, and the non-symmetric determinant, inverse and rank
+of random integer matrices of orders 3-71 and the rank of a singular one),
+L1 the closed forms with their self-checks, the order-7001 book inverse as
+``bench`` assembles it, and scalar times, sum and comparison of the
+order-71 book inverse, L2 each of the five verify suites, L3 whole
 commands (``verify --suite all``, a large book ``inv``, a large book and a
-large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``,
-the Tier-1 test run) and the end-to-end metrics of every perfbench
-workload, run in 10 pairs that alternate which side goes first.  Suite
-rows come from fresh processes that alternate between the sides in the
-same way.  A run takes about 50 minutes on 2 vCPUs.
+large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``),
+the Tier-1 test run and the end-to-end metrics of every perfbench
+workload.  A process of an L0 or L1 row reports the median time of
+several calls (``params.per_process``).  A run takes about an hour on
+2 vCPUs.
 """
 
 from __future__ import annotations
@@ -42,7 +55,9 @@ import subprocess
 import sys
 import tempfile
 import time
+from functools import partial
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -79,7 +94,6 @@ CLAIM = ("NC", 10, 5)
 # order-30 matrix of rank 20 for the rank row that skips columns.
 GENERAL_ORDERS = (3, 8, 30, 71)
 SINGULAR_RANK = "random_matrix(Lcg(1), 30, 20) * random_matrix(Lcg(2), 20, 30)"
-SUITE_PROCESSES = 5
 # Whole commands, each timed in fresh processes: the order-3501 book
 # inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
 # distance matrix, the order-7001 book inverse assembly and the order-200
@@ -91,30 +105,39 @@ COMMANDS = (
     ("bench", "--n", "8", "--b", "1000"),
     ("det", "--family", "tree", "--n", "200"),
 )
-COMMAND_RUNS = 3
 COMMAND_TIMEOUT_S = 60
-TIER1_RUNS = 2
 WORKLOADS = ("verify-suites", "oracle-scaling", "book-assembly")
 SUITES = ("recognizer", "lemmas", "dets", "inverses", "spectra")
 PAIRS = 10
+TIER1_PAIRS = 2
 
 
-def _python(tree: Path, code: str, timeout=None) -> str:
-    """Run ``code`` in a fresh interpreter importing cpdist from ``tree``."""
+class Case(NamedTuple):
+    """One measured thing: ``measure(tree, round)`` runs it once in a fresh
+    process of the checkout at ``tree`` and returns ``{metric: value}``."""
+
+    layer: str
+    name: str
+    params: dict
+    measure: Callable
+    rounds: int = PAIRS
+
+
+def _run(tree: Path, args: list, timeout=None) -> str:
+    """Stdout of ``python *args`` run in ``tree`` with its ``src/`` on the
+    path.  A child that fails stops the benchmark with its stderr."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    proc = subprocess.run([sys.executable, "-c", code], cwd=tree, env=env, check=True,
-                          capture_output=True, text=True, timeout=timeout)
+    try:
+        proc = subprocess.run([sys.executable, *args], cwd=tree, env=env,
+                              capture_output=True, text=True, timeout=timeout)
+    except subprocess.TimeoutExpired:
+        sys.exit(f"python {args} in {tree} did not finish within {timeout} s")
+    if proc.returncode != 0:
+        # pytest reports its failures on stdout, and their count last.
+        tail = "".join(proc.stdout.strip().splitlines()[-1:])
+        sys.exit(f"python {args} in {tree} exited {proc.returncode}\n"
+                 f"stdout ends: {tail}\nstderr:\n{proc.stderr}")
     return proc.stdout
-
-
-def _median_ms(tree: Path, setup: str, call: str, calls: int, repeat: int = 1) -> float:
-    """Median time of one ``call`` over ``calls`` samples, each the mean of
-    ``repeat`` calls in a row."""
-    code = (f"import time\n{setup}\nts = []\nfor _ in range({calls}):\n"
-            f"    t = time.perf_counter()\n    for _ in range({repeat}): {call}\n"
-            f"    ts.append((time.perf_counter() - t) / {repeat})\n"
-            "import statistics; print(statistics.median(ts) * 1000)")
-    return round(float(_python(tree, code)), 4)
 
 
 def l0_cases() -> list:
@@ -197,126 +220,100 @@ def l1_cases() -> list:
          f"{gc_off}\nform = cf.tnb_xblocks(8, 1000)", "form.materialize()", 5, 1)]
 
 
-def kernel_rows(sides: tuple, revs: dict, layer: str, cases: list) -> list:
-    """One row per case and side, the two sides of a case measured back to
-    back in fresh processes, alternating which goes first."""
-    rows = []
-    for i, (name, params, setup, call, calls, repeat) in enumerate(cases):
-        stat = (f"median of {calls} samples, each the mean of {repeat} calls" if repeat > 1
-                else f"median of {calls} calls")
-        for side, tree in (sides if i % 2 == 0 else sides[::-1]):
-            rows.append({"layer": layer, "name": name,
-                         "params": {**params, "rev": revs[side], "stat": stat},
-                         "ms": _median_ms(tree, setup, call, calls, repeat)})
-    return rows
+def _kernel(layer: str, name: str, params: dict, setup: str, call: str,
+            calls: int, repeat: int) -> Case:
+    """A case whose process reports the median time of one ``call`` over
+    ``calls`` samples, each the mean of ``repeat`` calls in a row."""
+    code = (f"import time\n{setup}\nts = []\nfor _ in range({calls}):\n"
+            f"    t = time.perf_counter()\n    for _ in range({repeat}): {call}\n"
+            f"    ts.append((time.perf_counter() - t) / {repeat})\n"
+            "import statistics; print(statistics.median(ts) * 1000)")
+    stat = (f"median of {calls} samples, each the mean of {repeat} calls" if repeat > 1
+            else f"median of {calls} calls")
+    return Case(layer, name, {**params, "per_process": stat},
+                lambda tree, _: {"ms": float(_run(tree, ["-c", code]))})
 
 
-def _suite_ms(tree: Path, suite: str) -> int:
+def _suite(suite: str, tree: Path, _round: int) -> dict:
     code = f"from cpdist.suites import run_suite\nprint(run_suite({suite!r}).wall_time_ms)"
-    return int(_python(tree, code))
+    return {"wall_time_ms": int(_run(tree, ["-c", code]))}
 
 
-def suite_rows(sides: tuple, revs: dict, layer: str, suites) -> list:
-    """One run of each suite per fresh process, SUITE_PROCESSES per side,
-    alternating which side goes first."""
-    rows = []
-    for suite in suites:
-        values = {side: [] for side, _ in sides}
-        for i in range(SUITE_PROCESSES):
-            for side, tree in (sides if i % 2 == 0 else sides[::-1]):
-                values[side].append(_suite_ms(tree, suite))
-        for side, _ in sides:
-            rows.append({"layer": layer, "name": f"verify --suite {suite}",
-                         "params": {"rev": revs[side], "runs_ms": values[side],
-                                    "stat": f"median of {SUITE_PROCESSES} fresh processes alternating "
-                                            "with the other side, report wall_time_ms"},
-                         "ms": statistics.median(values[side])})
-    return rows
+def _wall_ms(tree: Path, args: list, timeout=None) -> dict:
+    start = time.perf_counter()
+    _run(tree, args, timeout)
+    return {"wall_ms": (time.perf_counter() - start) * 1000}
 
 
-def command_row(tree: Path, rev: str, argv: tuple) -> dict:
-    params = {"rev": rev, "stat": f"median wall time of {COMMAND_RUNS} processes"}
-    times = []
+def _command(argv: tuple, tree: Path, _round: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         # bench and det write JSON; the other commands write CSV.
         out = (["--json", f"{tmp}/out.json"] if argv[0] in ("bench", "det")
                else ["--out", f"{tmp}/out.csv"])
-        code = ("import sys\nfrom cpdist.cli import main\n"
-                f"sys.exit(main({list(argv) + out!r}))")
-        for _ in range(COMMAND_RUNS):
-            start = time.perf_counter()
-            try:
-                _python(tree, code, timeout=COMMAND_TIMEOUT_S)
-            except subprocess.TimeoutExpired:
-                params["result"] = f"not finished within {COMMAND_TIMEOUT_S} s, stopped"
-                break
-            times.append(round((time.perf_counter() - start) * 1000, 1))
-    ms = statistics.median(times) if len(times) == COMMAND_RUNS else None
-    return {"layer": "L3", "name": " ".join(argv), "params": {**params, "runs_ms": times},
-            "ms": ms}
+        code = f"import sys\nfrom cpdist.cli import main\nsys.exit(main({list(argv) + out!r}))"
+        return _wall_ms(tree, ["-c", code], COMMAND_TIMEOUT_S)
 
 
-def tier1_row(tree: Path, rev: str) -> dict:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    results, times = [], []
-    for _ in range(TIER1_RUNS):
-        start = time.perf_counter()
-        proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
-                               "--continue-on-collection-errors"],
-                              cwd=tree, env=env, capture_output=True, text=True, check=False)
-        times.append(time.perf_counter() - start)
-        summary = proc.stdout.strip().splitlines()[-1] if proc.stdout.strip() else ""
-        if proc.returncode != 0:
-            raise RuntimeError(f"Tier-1 in {tree} exited {proc.returncode}: {summary}")
-        results.append(summary.strip("= "))
-    return {"layer": "L3", "name": "tier1",
-            "params": {"rev": rev, "results": results,
-                       "stat": f"mean of {TIER1_RUNS} runs, wall time"},
-            "ms": round(statistics.mean(times) * 1000, 1)}
+def _tier1(tree: Path, _round: int) -> dict:
+    return _wall_ms(tree, ["-m", "pytest", "-q", "-p", "no:cacheprovider",
+                           "--continue-on-collection-errors"])
 
 
-def _perfbench(tree: Path, workload: str, seed: int) -> dict:
-    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
-                           "--seed", str(seed), "--seconds", "35"], cwd=tree,
-                          capture_output=True, text=True, check=True)
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+def _perfbench(workload: str, tree: Path, round_: int) -> dict:
+    seed = 101 + round_
+    out = _run(tree, ["perfbench/run.py", "--workload", workload, "--seed", str(seed),
+                      "--seconds", "35"])
+    result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise RuntimeError(f"{workload} seed {seed} in {tree}: {result}")
+        sys.exit(f"perfbench {workload} seed {seed} in {tree}: {result}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
-def perfbench_rows(sides: tuple, revs: dict) -> list:
-    trees = dict(sides)
+def cases() -> list:
+    """Every case, in the order its rows are written."""
+    return ([_kernel("L0", *case) for case in l0_cases()]
+            + [_kernel("L1", *case) for case in l1_cases()]
+            + [Case("L2", f"verify --suite {suite}", {}, partial(_suite, suite)) for suite in SUITES]
+            + [Case("L3", "verify --suite all", {}, partial(_suite, "all"))]
+            + [Case("L3", " ".join(argv), {}, partial(_command, argv)) for argv in COMMANDS]
+            + [Case("L3", "tier1", {}, _tier1, TIER1_PAIRS)]
+            + [Case("L3", f"perfbench {workload}",
+                    {"seconds": 35, "seeds": list(range(101, 101 + PAIRS))},
+                    partial(_perfbench, workload)) for workload in WORKLOADS])
+
+
+def pairs(sides: tuple, measure: Callable, rounds: int = PAIRS) -> dict:
+    """``{side: [measure(tree, i) for each round i]}``: each round runs
+    ``measure`` once per ``(side, tree)`` of ``sides``, in that order in
+    even rounds and reversed in odd ones."""
+    runs = {side: [] for side, _ in sides}
+    for i in range(rounds):
+        for side, tree in (sides if i % 2 == 0 else sides[::-1]):
+            runs[side].append(measure(tree, i))
+    return runs
+
+
+def _digits(value: float) -> float:
+    """``value`` to the 5 significant digits rows are written and compared at."""
+    return float(f"{value:.5g}")
+
+
+def summary(case: Case, revs: dict, runs: dict) -> list:
+    """Two rows per metric of ``runs``, before then after."""
     rows = []
-    for workload in WORKLOADS:
-        runs = {"before": [], "after": []}
-        seeds = list(range(101, 101 + PAIRS))
-        for i, seed in enumerate(seeds):
-            order = ("before", "after") if i % 2 == 0 else ("after", "before")
-            for side in order:
-                runs[side].append(_perfbench(trees[side], workload, seed))
-        for metric in runs["before"][0]:
-            values = {side: [r[metric] for r in runs[side]] for side in runs}
-            wins = sum(a < b for a, b in zip(values["after"], values["before"]))
-            # Times are written in ms, as every other row; other metrics as read.
-            key, suffix, scale = ("ms", "_ms", 1000) if metric.endswith("_s") else ("value", "", 1)
-            for side in ("before", "after"):
-                q1, _, q3 = statistics.quantiles(values[side], n=4)
-                params = {"workload": workload, "rev": revs[side], "runs": PAIRS, "seeds": seeds,
-                          "seconds": 35, "stat": "median",
-                          f"q1{suffix}": round(q1 * scale, 3), f"q3{suffix}": round(q3 * scale, 3),
-                          f"values{suffix}": [round(v * scale, 3) for v in values[side]],
-                          "alternation": "pair i runs before first when i is even"}
-                if side == "after":
-                    params["pairs_after_lower"] = wins
-                rows.append({"layer": "L3", "name": metric, "params": params,
-                             key: round(statistics.median(values[side]) * scale, 3)})
+    for metric in runs["before"][0]:
+        values = {side: [_digits(run[metric]) for run in runs[side]] for side in runs}
+        for side in ("before", "after"):
+            q1, _, q3 = statistics.quantiles(values[side], n=4)
+            row = {"layer": case.layer, "name": case.name, "params": case.params,
+                   "metric": metric, "rev": revs[side],
+                   "median": _digits(statistics.median(values[side])),
+                   "q1": _digits(q1), "q3": _digits(q3), "values": values[side]}
+            if side == "after":
+                row["pairs_after_lower"] = sum(
+                    after < before for after, before in zip(values["after"], values["before"]))
+            rows.append(row)
     return rows
-
-
-def _each_side(measure):
-    """Run a measure of one checkout on the two sides back to back."""
-    return lambda sides, revs: [row for side, tree in sides for row in measure(tree, revs[side])]
 
 
 def main(argv=None) -> int:
@@ -326,23 +323,19 @@ def main(argv=None) -> int:
     parser.add_argument("--before-label", default="before")
     parser.add_argument("--pr", required=True)
     args = parser.parse_args(argv)
-    revs = {"before": args.before_label, "after": "after"}
     sides = (("before", args.before.resolve()), ("after", args.after.resolve()))
-
-    measures = [lambda sides, revs: kernel_rows(sides, revs, "L0", l0_cases()),
-                lambda sides, revs: kernel_rows(sides, revs, "L1", l1_cases()),
-                lambda sides, revs: suite_rows(sides, revs, "L2", SUITES),
-                lambda sides, revs: suite_rows(sides, revs, "L3", ("all",))]
-    measures += [_each_side(lambda tree, rev, argv=argv: [command_row(tree, rev, argv)])
-                 for argv in COMMANDS]
-    measures += [_each_side(lambda tree, rev: [tier1_row(tree, rev)]), perfbench_rows]
-    rows = [row for measure in measures for row in measure(sides, revs)]
-
-    lines = [json.dumps(row) for row in rows]
+    if len(str(sides[0][1])) != len(str(sides[1][1])):
+        parser.error(f"--before {sides[0][1]} and --after {sides[1][1]} differ in length; "
+                     "a checkout's path length alone moves peak_rss_mb, so copy both "
+                     "to paths of one length")
+    revs = {"before": args.before_label, "after": "after"}
+    lines = []
+    for case in cases():
+        for row in summary(case, revs, pairs(sides, case.measure, case.rounds)):
+            lines.append(json.dumps(row))
+            print(lines[-1], flush=True)
     out = ROOT / f"BENCH_{args.pr}.json"
     out.write_text("[\n" + ",\n".join(lines) + "\n]\n", encoding="utf-8")
-    for row in rows:
-        print(json.dumps(row))
     return 0
 
 

@@ -104,11 +104,11 @@ def _require(value, name: str, minimum):
 class _Family:
     """One family's facts, each stated once: its flags with their minimums
     (None: any value) in check order, its graph spec built from their values,
-    the closed-form det (of the built graph) and inverse (of the spec), and
-    the ``gen`` kinds it builds in closed form; other kinds use the graph.
-    The inverse and the ``gen`` builders return a ``RationalMatrix``, or for
-    the book family its self-checked ``StructuredBlockForm``, which
-    ``_matrix_csv`` writes without materializing."""
+    the closed-form det and inverse of that spec, and the ``gen`` kinds it
+    builds in closed form; other kinds use the graph. The inverse and the
+    ``gen`` builders return a ``RationalMatrix``, or for the book family its
+    self-checked ``StructuredBlockForm``, which ``_matrix_csv`` writes
+    without materializing."""
 
     flags: dict
     spec: Callable
@@ -119,21 +119,21 @@ class _Family:
 
 _KMN = _Family(
     {"m": 1, "n": 1}, gr.CompleteBipartite,
-    det=lambda g: cf.kmn_det(g.family.m, g.family.n),
+    det=lambda s: cf.kmn_det(s.m, s.n),
     inverse=lambda s: cf.kmn_inverse(s.m, s.n),
     gen={"dist": lambda s: cf.kmn_distance(s.m, s.n)},
 )
 FAMILIES = {
     "tn": _Family(
         {"n": 3}, gr.TnSingle,
-        det=lambda g: cf.tn_det(g.family.n),
+        det=lambda s: cf.tn_det(s.n),
         inverse=lambda s: cf.tn_inverse(s.n),
         gen={"dist": lambda s: cf.tn_distance(s.n), "lap": lambda s: cf.tn_laplacian(s.n),
              "rmat": lambda s: cf.tn_rmat(s.n)},
     ),
     "tn-book": _Family(
         {"n": 3, "b": 2}, gr.TnBook,
-        det=lambda g: cf.tnb_det(g.family.n, g.family.b),
+        det=lambda s: cf.tnb_det(s.n, s.b),
         inverse=lambda s: cf.tnb_inverse_form(s.n, s.b),
         gen={"dist": lambda s: cf.tnb_distance(s.n, s.b),
              "lap": lambda s: cf.tnb_laplacian(s.n, s.b),
@@ -144,12 +144,12 @@ FAMILIES = {
     "star": replace(_KMN, flags={"n": 1}, spec=lambda n: gr.CompleteBipartite(n, 1)),
     "tree": _Family(
         {"n": 2, "seed": None}, lambda n, seed: gr.Tree(random_tree_edges(n, Lcg(seed))),
-        det=cf.tree_det,
+        det=lambda s: cf.tree_det(gr.build_family(s)),
         inverse=lambda s: cf.tree_inverse(gr.build_family(s)),
     ),
     "k4": _Family(
         {}, gr.K4,
-        det=lambda g: aibj_analysis(-1, 1, 4).det,
+        det=lambda s: aibj_analysis(-1, 1, 4).det,
         inverse=lambda s: aibj_analysis(-1, 1, 4).inverse,
     ),
 }
@@ -221,8 +221,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_det(args) -> int:
     family = _family(args)
-    graph = gr.build_family(_spec(family, args))
-    formula = family.det(graph)
+    spec = _spec(family, args)
+    graph = gr.build_family(spec)
+    formula = family.det(spec)
     oracle = det_exact(gr.all_pairs_distances(graph))
     match = formula == oracle
     if args.json is not None:

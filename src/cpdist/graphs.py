@@ -65,10 +65,9 @@ class Graph:
 
     vertex_count: int
     edges: frozenset
-    family: Optional[FamilySpec] = None
 
     @classmethod
-    def from_edges(cls, vertex_count: int, edges, family: Optional[FamilySpec] = None) -> "Graph":
+    def from_edges(cls, vertex_count: int, edges) -> "Graph":
         normalized = set()
         for u, v in edges:
             if u == v:
@@ -76,7 +75,7 @@ class Graph:
             if not (1 <= u <= vertex_count and 1 <= v <= vertex_count):
                 raise GraphError(f"edge ({u}, {v}) outside 1..{vertex_count}")
             normalized.add((min(u, v), max(u, v)))
-        return cls(vertex_count, frozenset(normalized), family)
+        return cls(vertex_count, frozenset(normalized))
 
     def adjacency(self) -> dict:
         adj: dict = {v: [] for v in range(1, self.vertex_count + 1)}
@@ -126,7 +125,7 @@ def build_family(spec: FamilySpec) -> Graph:
     if isinstance(spec, TnSingle):
         if spec.n < 3:
             raise GraphError("triangle fan requires n >= 3")
-        return Graph.from_edges(spec.n, _tn_edges(spec.n, offset=0, hub=None), spec)
+        return Graph.from_edges(spec.n, _tn_edges(spec.n, offset=0, hub=None))
     if isinstance(spec, TnBook):
         if spec.n < 3:
             raise GraphError("book family requires n >= 3")
@@ -137,16 +136,16 @@ def build_family(spec: FamilySpec) -> Graph:
         edges: list = []
         for k in range(b):
             edges.extend(_tn_edges(n, offset=k * (n - 1), hub=hub))
-        return Graph.from_edges(hub, edges, spec)
+        return Graph.from_edges(hub, edges)
     if isinstance(spec, CompleteBipartite):
         if spec.m < 1 or spec.n < 1:
             raise GraphError("complete bipartite parts must be nonempty")
         edges = [(i, spec.m + j) for i in range(1, spec.m + 1) for j in range(1, spec.n + 1)]
-        return Graph.from_edges(spec.m + spec.n, edges, spec)
+        return Graph.from_edges(spec.m + spec.n, edges)
     if isinstance(spec, Tree):
         return _build_tree(spec)
     if isinstance(spec, K4):
-        return Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)], spec)
+        return Graph.from_edges(4, [(i, j) for i in range(1, 5) for j in range(i + 1, 5)])
     raise GraphError(f"unknown family spec {spec!r}")
 
 
@@ -168,7 +167,7 @@ def _build_tree(spec: Tree) -> Graph:
     if not spec.edges:
         raise GraphError("tree edge list is empty")
     n = max(max(u, v) for u, v in spec.edges)
-    g = Graph.from_edges(n, spec.edges, spec)
+    g = Graph.from_edges(n, spec.edges)
     if not is_connected(g):
         raise GraphError("tree edge list is disconnected")
     if g.edge_count != n - 1:

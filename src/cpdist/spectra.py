@@ -96,8 +96,6 @@ def principal_submatrix(part: str, n: int, b: int) -> RationalMatrix:
     """Correction-matrix principal submatrix for the requested vertex part,
     cut out of the materialized ``tnb_rmat(n, b)``."""
     labels = part_indices(part, n, b)
-    if not labels:
-        raise ValueError("empty index set")
     return tnb_rmat(n, b).materialize().submatrix([v - 1 for v in labels])
 
 

@@ -1,0 +1,76 @@
+"""The pair driver and row summary of scripts/bench_layers.py."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "bench_layers.py"
+_SPEC = importlib.util.spec_from_file_location("bench_layers", _PATH)
+bl = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bl)
+
+SIDES = (("before", Path("/b")), ("after", Path("/a")))
+REVS = {"before": "parent", "after": "after"}
+
+
+def test_rounds_alternate_which_side_goes_first():
+    calls = []
+
+    def measure(tree, i):
+        calls.append((tree, i))
+        return {"ms": f"{tree} {i}"}
+
+    runs = bl.pairs(SIDES, measure, rounds=4)
+    b, a = Path("/b"), Path("/a")
+    assert calls == [(b, 0), (a, 0), (a, 1), (b, 1), (b, 2), (a, 2), (a, 3), (b, 3)]
+    assert runs == {"before": [{"ms": f"/b {i}"} for i in range(4)],
+                    "after": [{"ms": f"/a {i}"} for i in range(4)]}
+
+
+def test_summary_gives_each_side_its_median_and_quartiles():
+    runs = {"before": [{"ms": v, "peak_mb": 2.0} for v in (4, 1, 3, 2, 10)],
+            "after": [{"ms": v, "peak_mb": 1.0} for v in (8, 6, 7, 5, 9)]}
+    case = bl.Case("L0", "det_exact", {"order": 3}, measure=None)
+    rows = bl.summary(case, REVS, runs)
+    assert [(r["metric"], r["rev"]) for r in rows] == [
+        ("ms", "parent"), ("ms", "after"), ("peak_mb", "parent"), ("peak_mb", "after")]
+    before, after = rows[0], rows[1]
+    assert before["values"] == [4, 1, 3, 2, 10]
+    # Quartiles by linear interpolation at (len + 1) / 4 and 3 (len + 1) / 4.
+    assert (before["q1"], before["median"], before["q3"]) == (1.5, 3, 7)
+    assert (after["q1"], after["median"], after["q3"]) == (5.5, 7, 8.5)
+    assert "pairs_after_lower" not in before
+    assert all(r["layer"] == "L0" and r["name"] == "det_exact" and r["params"] == {"order": 3}
+               for r in rows)
+
+
+def test_pairs_after_lower_counts_neither_side_on_a_tie():
+    runs = {"before": [{"ms": v} for v in (5, 5, 5, 5, 5)],
+            "after": [{"ms": v} for v in (4, 5, 6, 4, 5.00001)]}
+    rows = bl.summary(bl.Case("L0", "rank", {}, measure=None), REVS, runs)
+    # 5.00001 reads 5 to the five digits written, a tie like the second round.
+    assert rows[1]["values"] == [4, 5, 6, 4, 5]
+    assert rows[1]["pairs_after_lower"] == 2
+
+
+def test_refuses_checkouts_whose_paths_differ_in_length(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(bl, "cases", lambda: [])
+    monkeypatch.setattr(bl, "ROOT", tmp_path)
+    short, longer = tmp_path / "a", tmp_path / "bb"
+    with pytest.raises(SystemExit) as exit_info:
+        bl.main(["--before", str(short), "--after", str(longer), "--pr", "t"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert str(short) in err and str(longer) in err
+    assert not (tmp_path / "BENCH_t.json").exists()
+    assert bl.main(["--before", str(short), "--after", str(tmp_path / "c"), "--pr", "t"]) == 0
+    assert (tmp_path / "BENCH_t.json").read_text() == "[\n\n]\n"
+
+
+def test_failing_child_stops_the_run_with_its_stderr(tmp_path):
+    with pytest.raises(SystemExit) as exit_info:
+        # The message is split in the code, so only the child's stderr joins it.
+        bl._run(tmp_path, ["-c", "import sys; sys.stderr.write('boom' + ' in child'); sys.exit(3)"])
+    assert "exited 3" in str(exit_info.value.code)
+    assert "boom in child" in str(exit_info.value.code)
