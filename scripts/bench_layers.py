@@ -22,10 +22,12 @@ metric is written as two rows, before then after, one row per line:
      "median", "q1", "q3", "values", "pairs_after_lower"}
 
 ``values`` are the per-process values in round order, to 5 significant
-digits; ``median``, ``q1`` and ``q3`` are theirs.  ``pairs_after_lower``,
+digits; ``median``, ``q1`` and ``q3`` are theirs, the quartiles by the
+inclusive method, so they lie within the values.  ``pairs_after_lower``,
 on the after row only, counts the rounds whose after value is lower than
-the before value; ties count for neither side.  Each run writes the file
-afresh.
+the before value; ties count for neither side.  A row of fewer than PAIRS
+rounds (Tier-1) carries ``null`` there: a count out of two rounds cannot
+meet a rule written for ten.  Each run writes the file afresh.
 
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
@@ -33,7 +35,9 @@ order-71 and order-141 book distance matrices, the determinants and
 inverses of seed-42 tree distance matrices of orders 16-100 and of a few
 below order 8, the claimed characteristic polynomial of the largest
 spectra-suite claim, and the non-symmetric determinant, inverse and rank
-of random integer matrices of orders 3-71 and the rank of a singular one),
+of random integer matrices of orders 3-71 and the rank of a singular one,
+and the determinant and inverse of random symmetric integer matrices of
+orders 30-100, whose eliminations carry at most one common factor 2),
 L1 the closed forms with their self-checks, the order-7001 book inverse as
 ``bench`` assembles it, and scalar times, sum and comparison of the
 order-71 book inverse, L2 each of the five verify suites, L3 whole
@@ -93,6 +97,10 @@ CLAIM = ("NC", 10, 5)
 # behind the general-path det, inverse and rank rows, and a singular
 # order-30 matrix of rank 20 for the rank row that skips columns.
 GENERAL_ORDERS = (3, 8, 30, 71)
+# Orders of the random symmetric integer matrices behind the symmetric det
+# and inverse rows whose trailing blocks carry at most one common factor 2,
+# unlike those of distance matrices.
+SYMMETRIC_ORDERS = (30, 60, 100)
 SINGULAR_RANK = "random_matrix(Lcg(1), 30, 20) * random_matrix(Lcg(2), 20, 30)"
 # Whole commands, each timed in fresh processes: the order-3501 book
 # inverse, the order-2101 book distance matrix, the order-701 K_{m,n}
@@ -182,6 +190,17 @@ def l0_cases() -> list:
         for name in ("det_exact", "inverse_exact", "rank"):
             cases.append((name, {"order": order, "matrix": "random_invertible(Lcg(1), order)"},
                           setup, f"{name}(m)", GENERAL_CALLS, repeat))
+    for order in SYMMETRIC_ORDERS:
+        setup = ("from cpdist.linalg import RationalMatrix, det_exact, inverse_exact\n"
+                 f"from cpdist.rng import Lcg\nrng, n = Lcg(1), {order}\n"
+                 "rows = [[0] * n for _ in range(n)]\n"
+                 "for i in range(n):\n    for j in range(i, n):\n"
+                 "        rows[i][j] = rows[j][i] = rng.randint(-9, 9)\n"
+                 "m = RationalMatrix.from_rows(rows)")
+        for name in ("det_exact", "inverse_exact"):
+            cases.append((name, {"order": order, "matrix": "symmetric, upper triangle row by row "
+                                 "from Lcg(1).randint(-9, 9)"},
+                          setup, f"{name}(m)", GENERAL_CALLS, 1))
     setup = f"from cpdist.linalg import rank\nfrom cpdist.rng import Lcg, random_matrix\nm = {SINGULAR_RANK}"
     cases.append(("rank", {"order": 30, "matrix": f"order 30 rank 20, {SINGULAR_RANK}"},
                   setup, "rank(m)", GENERAL_CALLS, 1))
@@ -304,13 +323,13 @@ def summary(case: Case, revs: dict, runs: dict) -> list:
     for metric in runs["before"][0]:
         values = {side: [_digits(run[metric]) for run in runs[side]] for side in runs}
         for side in ("before", "after"):
-            q1, _, q3 = statistics.quantiles(values[side], n=4)
+            q1, _, q3 = statistics.quantiles(values[side], n=4, method="inclusive")
             row = {"layer": case.layer, "name": case.name, "params": case.params,
                    "metric": metric, "rev": revs[side],
                    "median": _digits(statistics.median(values[side])),
                    "q1": _digits(q1), "q3": _digits(q3), "values": values[side]}
             if side == "after":
-                row["pairs_after_lower"] = sum(
+                row["pairs_after_lower"] = None if case.rounds < PAIRS else sum(
                     after < before for after, before in zip(values["after"], values["before"]))
             rows.append(row)
     return rows

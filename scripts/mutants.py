@@ -130,8 +130,8 @@ MUTANTS = [
      "drop the add in the finished rows"),
     # The packed symmetric elimination.
     (LINALG,
-     "bound = (abs(p) * bound + g * g) // abs(prev) + 1",
-     "bound = abs(p) * bound // abs(prev) + 1",
+     "return z, (abs(row_k[0]) * bound + g * g) // abs(prev >> z) + 1",
+     "return z, abs(row_k[0]) * bound // abs(prev >> z) + 1",
      PACKED,
      "drop G_k^2 from the packed slot bound"),
     (LINALG,
@@ -140,8 +140,8 @@ MUTANTS = [
      PACKED,
      "floor shift in place of the rounding shift of packed rows"),
     (LINALG,
-     "if bound.bit_length() + 2 > w:",
-     "if False:",
+     "if new.bit_length() + 2 > w:\n                wider",
+     "if False:\n                wider",
      PACKED,
      "skip the widening of packed slots"),
     (LINALG,
@@ -149,6 +149,32 @@ MUTANTS = [
      "    for k in range(n - 1):\n        row_k = _unpack(",
      (LINALG_TESTS, "-x", "-k", "test_last_steps"),
      "stop the packed elimination one step early"),
+    # The common power of two of the packed trailing block.
+    (LINALG,
+     "z = e and min(2 * e, (prev & -prev).bit_length() - 1)",
+     "z = e and (prev & -prev).bit_length() - 1",
+     PACKED,
+     "divide by the odd part of prev even where it has more than 2e twos"),
+    (LINALG,
+     "u[k] = [x << e for x in row_k] if e else row_k",
+     "u[k] = row_k",
+     PACKED,
+     "store finished rows without their power of two"),
+    (LINALG,
+     "u[k:] = [[x << e for x in _unpack(r, n - i, w)]",
+     "u[k:] = [[x for x in _unpack(r, n - i, w)]",
+     PACKED,
+     "unpack the block for a pivot repair without its power of two"),
+    (LINALG,
+     "s = _common_twos(row_k, rows[k + 1:], n - k - 1, w)",
+     "s = _common_twos(row_k, [], n - k - 1, w)",
+     PACKED,
+     "read the common power of two from the pivot row only"),
+    (LINALG,
+     "acc |= (r + bias) & mask",
+     "acc |= r & mask",
+     PACKED,
+     "read the digits' low bits without the slot bias"),
 ]
 
 CONTROL = (

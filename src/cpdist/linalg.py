@@ -13,11 +13,11 @@ The shape of the input alone picks the elimination: a symmetric matrix,
 such as every distance matrix, is eliminated on its upper triangle only (a
 zero pivot is repaired by swapping or adding a later row and column), from
 order 24 on with each trailing row packed into one int (Kronecker
-substitution); any other matrix is eliminated in full by one routine that
-skips pivotless columns.  These
-routines double as the brute-force oracles for every closed-form formula in
-the package, so they are generic dense algorithms and share no shortcut
-with the closed forms they check.
+substitution) and the block's common power of two held as one exponent;
+any other matrix is eliminated in full by one routine that skips
+pivotless columns.  These routines double as the brute-force oracles for
+every closed-form formula in the package, so they are generic dense
+algorithms and share no shortcut with the closed forms they check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import eq, mul
+from functools import reduce
+from operator import eq, mul, or_
 from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -318,7 +319,11 @@ def det_exact(m: RationalMatrix) -> Fraction:
     (2-vCPU VM, Python 3.11, medians of 7 timing samples) the packed
     elimination takes 2.4x the time of list rows at order 8, 1.3x at 16,
     1.08x at 20, 0.97x at 24, 0.73x at 32, 0.52x at 50 and 0.33-0.34x at
-    100 and 200.
+    100 and 200.  The packed rows also shed the powers of two that every
+    Bareiss entry of a distance matrix carries (about 2^(k-2) at step k of
+    a tree's) into one exponent of the block, so each row is divided by
+    the odd part of the previous pivot rather than by all of it; the
+    result is the same integer.
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -401,9 +406,12 @@ def _bareiss_symmetric(num: list):
     A matrix of order ``_SYMMETRIC_PACK_MIN_ORDER`` = 24 or more runs every
     step in ``_bareiss_packed``, on rows packed into one int each, so a row
     update is a few bigint operations instead of one interpreted operation
-    per entry; its docstring gives the slot width bound and why the packed
-    division is exact.  A smaller matrix updates list rows.  Both give the
-    same rows; ``det_exact`` has the measured ratios.
+    per entry, and the trailing block is held as 2^e times its packed rows
+    so that the common power of two of its entries costs no bits; its
+    docstring gives the slot width bound and why the packed division is
+    exact.  Finished rows are stored times 2^e, so the packed steps return
+    the same rows and repair log as list rows.  A smaller matrix updates
+    list rows; ``det_exact`` has the measured ratios.
 
     Returns ``(u, repairs)``: the finished rows of the Bareiss elimination
     of B = E^T A E, where E is the product of the logged repairs
@@ -444,26 +452,33 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
     """Every step of ``_bareiss_symmetric``, run in place on ``u`` with each
     trailing row packed into one int.
 
-    Trailing row i is R_i = sum_t u[i][t] * 2^(w*t), with balanced digits
-    |u[i][t]| < 2^(w-1) (Kronecker substitution).  Step k unpacks the pivot
-    row R_k once, as the finished row ``u[k]``, and by symmetry reads each
-    row's multiplier f_i = u[k][i-k] from it.  Shifting R_k right by
-    (i-k)*w with rounding drops its first i-k digits exactly (their sum is
-    below 2^((i-k)*w-1) in absolute value) and aligns the rest with R_i, so
+    The trailing block is 2^e times its packed rows: trailing row i is
+    2^e * R_i, R_i = sum_t x_t * 2^(w*t) with balanced digits |x_t| <
+    2^(w-1) (Kronecker substitution).  Step k unpacks the pivot row R_k
+    once, stores it times 2^e as the finished row ``u[k]``, and by
+    symmetry reads each row's multiplier f_i = x_(i-k) of R_k from it, with
+    p = x_0.  Shifting R_k right by (i-k)*w with rounding drops its first
+    i-k digits exactly (their sum is below 2^((i-k)*w-1) in absolute value)
+    and aligns the rest with R_i, so with z = min(2e, v2(prev))
 
-        R_i <- (p*R_i - f_i*T_i) // prev
+        R_i <- (p*R_i - f_i*T_i) // (prev >> z),    e <- 2e - z
 
-    is the whole row update: every slot of p*R_i - f_i*T_i is p*x - f_i*y
-    for the entries x, y of that slot, which prev divides, so the bigint
+    is the whole row update.  For the digits x, y of one slot the new entry
+    is the integer 2^(2e) * (p*x - f_i*y) / prev = 2^(2e-z) * (p*x - f_i*y)
+    / (prev >> z), so prev >> z divides p*x - f_i*y: it is odd when z =
+    v2(prev), and the quotient is the new entry when z = 2e.  So the bigint
     division is exact slot by slot even where p*x - f_i*y overflows its
-    slot, and only the new entries must fit.  They do: every trailing
-    entry is at most M in absolute value, and since f_i and y are entries
-    of the pivot row past its diagonal, at most G_k, the new ones are at
-    most M' = (|p|*M + G_k^2) // |prev| + 1.  When M' needs more than w - 2
-    bits, every trailing row is widened first by a strided byte copy.  A
-    zero pivot unpacks the trailing block, repairs it with
-    ``_repair_pivot`` on the lists, recomputes M from the block and packs
-    it again.
+    slot, and only the new digits must fit.  They do: every digit is at most
+    M in absolute value, and since f_i and y are digits of the pivot row
+    past its diagonal, at most G_k, the new ones are at most M' = (|p|*M +
+    G_k^2) // |prev >> z| + 1.  When M' needs more than w - 2 bits, the step
+    first finds the largest s with 2^s dividing every digit of the block
+    (``_common_twos``, which reads s < 2 as 0), shifts every row right by s
+    and adds s to e; only if M' still needs more bits is every trailing row
+    widened, by a strided byte copy.  On a matrix with no common factor 4 at
+    any widening, e stays 0 and the update is plain Bareiss.  A zero pivot
+    unpacks the trailing block times 2^e, repairs it with ``_repair_pivot``
+    on the lists, recomputes M from the block and packs it again with e = 0.
 
     Returns True with the finished rows in ``u``, or False when a trailing
     row is all zero.
@@ -474,35 +489,80 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
     bound = max(max(map(abs, row)) for row in u)
     w = _slot_width(bound)
     rows = [_pack(row, w) for row in u]
-    prev = 1
+    prev, e = 1, 0
     for k in range(n):
         row_k = _unpack(rows[k], n - k, w)
         if row_k[0] == 0:
-            u[k:] = [_unpack(r, n - i, w) for i, r in enumerate(rows[k:], k)]
+            u[k:] = [[x << e for x in _unpack(r, n - i, w)] for i, r in enumerate(rows[k:], k)]
             if not _repair_zero_pivot(u, k, repairs):
                 return False
             bound = max(max(map(abs, row)) for row in u[k:])
-            w = _slot_width(bound)
+            w, e = _slot_width(bound), 0
             rows[k:] = [_pack(row, w) for row in u[k:]]
             row_k = u[k]
-        u[k] = row_k
-        p = row_k[0]
-        g = max(map(abs, row_k[1:]), default=0)
-        bound = (abs(p) * bound + g * g) // abs(prev) + 1
-        if bound.bit_length() + 2 > w:
-            wider = _slot_width(bound)
-            for i in range(k, n):
-                rows[i] = _widen(rows[i], n - i, w, wider)
-            w = wider
+        z, new = _next_bound(row_k, bound, prev, e)
+        if new.bit_length() + 2 > w:
+            s = _common_twos(row_k, rows[k + 1:], n - k - 1, w)
+            if s:
+                rows[k:] = [r >> s for r in rows[k:]]
+                row_k = [x >> s for x in row_k]
+                bound, e = bound >> s, e + s
+                z, new = _next_bound(row_k, bound, prev, e)
+            if new.bit_length() + 2 > w:
+                wider = _slot_width(new)
+                for i in range(k, n):
+                    rows[i] = _widen(rows[i], n - i, w, wider)
+                w = wider
+        u[k] = [x << e for x in row_k] if e else row_k
         # u[k] holds the finished row, so its packed form is dropped; t runs
         # through R_k shifted right by 1, 2, ... slots, and each trailing
         # row is replaced in place, so no step holds two trailing blocks.
+        p, d = row_k[0], prev >> z
         half, t, rows[k] = 1 << (w - 1), rows[k], None
         for i in range(k + 1, n):
             t = (t + half) >> w
-            rows[i] = (p * rows[i] - row_k[i - k] * t) // prev
-        prev = p
+            rows[i] = (p * rows[i] - row_k[i - k] * t) // d
+        prev, e, bound = p << e, 2 * e - z, new
     return True
+
+
+def _next_bound(row_k: list, bound: int, prev: int, e: int) -> tuple:
+    """``(z, M')`` for a step of ``_bareiss_packed`` whose trailing block is
+    2^e times its packed entries, each at most ``bound`` = M: z =
+    min(2e, v2(prev)) twos of prev leave the row update's divisor, and M'
+    bounds the new packed entries."""
+    z = e and min(2 * e, (prev & -prev).bit_length() - 1)
+    g = max(map(abs, row_k[1:]), default=0)
+    return z, (abs(row_k[0]) * bound + g * g) // abs(prev >> z) + 1
+
+
+def _common_twos(row_k: list, rows: list, count: int, w: int) -> int:
+    """The largest s with 2^s dividing every entry of the pivot row
+    ``row_k``, one of them nonzero, and every digit of the packed ``rows``
+    of at most ``count`` w-bit slots, or 0 when s < 2: shedding a lone
+    factor 2 saves one bit per slot for a pass over the block, and random
+    integer matrices show one at about a third of their widenings.  The
+    pivot row bounds s first, and a packed row with a digit that is not a
+    multiple of 4 ends the scan.  A packed row plus the slot bias has
+    nonnegative digits, so masking each slot's low bits reads its digit
+    modulo a power of two with no borrow from below; the masked rows are
+    ORed, then their slots are folded onto the lowest."""
+    low = reduce(or_, row_k)
+    low &= -low
+    if low < 4:
+        return 0
+    bias = _slot_bias(count, w, w)
+    unit = bias >> (w - 1)
+    mask, low_two, acc = unit * (low - 1), unit * 3, 0
+    for r in rows:
+        acc |= (r + bias) & mask
+        if acc & low_two:
+            return 0
+    while count > 1:
+        count = (count + 1) // 2
+        acc = (acc >> (count * w)) | (acc & ((1 << count * w) - 1))
+    acc |= low
+    return (acc & -acc).bit_length() - 1
 
 
 def _slot_width(bound: int) -> int:

@@ -37,9 +37,10 @@ def test_summary_gives_each_side_its_median_and_quartiles():
         ("ms", "parent"), ("ms", "after"), ("peak_mb", "parent"), ("peak_mb", "after")]
     before, after = rows[0], rows[1]
     assert before["values"] == [4, 1, 3, 2, 10]
-    # Quartiles by linear interpolation at (len + 1) / 4 and 3 (len + 1) / 4.
-    assert (before["q1"], before["median"], before["q3"]) == (1.5, 3, 7)
-    assert (after["q1"], after["median"], after["q3"]) == (5.5, 7, 8.5)
+    # Quartiles by linear interpolation at (len - 1) / 4 and 3 (len - 1) / 4
+    # past the smallest value.
+    assert (before["q1"], before["median"], before["q3"]) == (2, 3, 4)
+    assert (after["q1"], after["median"], after["q3"]) == (6, 7, 8)
     assert "pairs_after_lower" not in before
     assert all(r["layer"] == "L0" and r["name"] == "det_exact" and r["params"] == {"order": 3}
                for r in rows)
@@ -74,3 +75,15 @@ def test_failing_child_stops_the_run_with_its_stderr(tmp_path):
         bl._run(tmp_path, ["-c", "import sys; sys.stderr.write('boom' + ' in child'); sys.exit(3)"])
     assert "exited 3" in str(exit_info.value.code)
     assert "boom in child" in str(exit_info.value.code)
+
+
+def test_rows_of_fewer_rounds_leave_the_pair_count_out():
+    # The Tier-1 row's two rounds, from BENCH_19.json: after lower in both.
+    runs = {"before": [{"wall_ms": 36439}, {"wall_ms": 32883}],
+            "after": [{"wall_ms": 28600}, {"wall_ms": 28700}]}
+    case = bl.Case("L3", "tier1", {}, measure=None, rounds=bl.TIER1_PAIRS)
+    before, after = bl.summary(case, REVS, runs)
+    assert after["pairs_after_lower"] is None
+    for row in (before, after):
+        assert min(row["values"]) <= row["q1"] <= row["median"] <= row["q3"] <= max(row["values"])
+    assert (before["q1"], before["q3"]) == (33772, 35550)

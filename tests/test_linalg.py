@@ -26,6 +26,7 @@ from cpdist.linalg import (
     _PACK_HEADROOM_BITS,
     _SYMMETRIC_PACK_MIN_ORDER,
     _bareiss_symmetric,
+    _common_twos,
     _det_general,
     _det_symmetric,
     _inverse_general,
@@ -211,6 +212,19 @@ def congruent_tail(n, tail, seed):
     return lower * RationalMatrix.from_rows(d) * lower.transpose()
 
 
+def two_adic_symmetric(twos, entry):
+    """The symmetric integer matrix S A S for S = diag(2^twos[i]), with entry
+    (i, j) of A for j >= i given by ``entry(i, j)``: entry (i, j) carries
+    2^(twos[i] + twos[j]), so the trailing blocks of the elimination carry
+    powers of two that differ from row to row."""
+    n = len(twos)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = entry(i, j) << (twos[i] + twos[j])
+    return RationalMatrix.from_rows(rows)
+
+
 def kernel_det(kernel, m):
     """det(m) from an integer determinant kernel run on m's numerators:
     det(num) / den^n."""
@@ -301,6 +315,20 @@ def packed_symmetric_matrices(draw):
         for i in range(n):
             rows[z][i] = rows[i][z] = Fraction(0)
     return RationalMatrix(n, n, rows)
+
+
+@st.composite
+def two_adic_symmetric_matrices(draw):
+    """``two_adic_symmetric`` of orders 22-40 with every twos[i] in 0..6 and
+    A's entries from a drawn random source, up to 9 or 10^6 in absolute
+    value, with a zero diagonal in half the draws."""
+    n = draw(st.integers(_SYMMETRIC_PACK_MIN_ORDER - 2, 40))
+    twos = draw(st.lists(st.integers(0, 6), min_size=n, max_size=n))
+    rng = draw(st.randoms(use_true_random=False))
+    bound = draw(st.sampled_from([9, 10**6]))
+    zero_diagonal = draw(st.booleans())
+    return two_adic_symmetric(
+        twos, lambda i, j: 0 if zero_diagonal and i == j else rng.randint(-bound, bound))
 
 
 def faddeev_leverrier(m):
@@ -823,13 +851,20 @@ class TestPackedElimination:
     # Tails whose repair or zero row comes at step n-2 or n-1, within the
     # last steps of a packed elimination: a swap and an add repair at n-2,
     # and (row 2 of the tail is twice row 1 minus row 0) a zero row at n-1.
-    @pytest.mark.parametrize("n, tail, is_swap", [
-        pytest.param(24, [[1, 1, 1], [1, 1, 2], [1, 2, 3]], True, id="swap"),
-        pytest.param(27, [[1, 1, 1], [1, 1, 2], [1, 2, 1]], False, id="add"),
-        pytest.param(30, [[1, 1, 1], [1, 2, 3], [1, 3, 5]], None, id="zero-row"),
+    # The "even" cases take twice the matrix, which makes h's entries even,
+    # so the trailing block is 2^e times its packed rows, e > 0, when the
+    # repair or the all-zero 1x1 trailing block comes.
+    @pytest.mark.parametrize("n, tail, is_swap, scale", [
+        pytest.param(n, tail, is_swap, scale, id=name + ("-even" if scale == 2 else ""))
+        for scale in (1, 2)
+        for n, tail, is_swap, name in [
+            (24, [[1, 1, 1], [1, 1, 2], [1, 2, 3]], True, "swap"),
+            (27, [[1, 1, 1], [1, 1, 2], [1, 2, 1]], False, "add"),
+            (30, [[1, 1, 1], [1, 2, 3], [1, 3, 5]], None, "zero-row"),
+        ]
     ])
-    def test_last_steps(self, n, tail, is_swap):
-        m = congruent_tail(n, tail, n)
+    def test_last_steps(self, n, tail, is_swap, scale):
+        m = scale * congruent_tail(n, tail, n)
         elim = _bareiss_symmetric(m.num)
         assert elim == list_bareiss_symmetric(m.num)
         if is_swap is None:
@@ -860,6 +895,54 @@ class TestPackedElimination:
         assert list_bareiss_symmetric(m.num) is None
         assert det_exact(m) == naive_det(m) == 0
         assert inverse_or_rank(inverse_exact, m) == naive_rank(m) == n - 1
+
+    @settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(two_adic_symmetric_matrices())
+    def test_two_adic_matches_references(self, m):
+        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert det_exact(m) == naive_det(m)
+
+    @pytest.mark.parametrize("n", [24, 33, 57, 80])
+    def test_seeded_tree_distance_matrices(self, n):
+        # every Bareiss entry of a tree distance matrix at step k carries
+        # about 2^(k-2), which the packed rows shed into their exponent
+        d = all_pairs_distances(build_family(Tree(random_tree_edges(n, Lcg(n)))))
+        assert _bareiss_symmetric(d.num) == list_bareiss_symmetric(d.num)
+        assert det_exact(d) == naive_det(d)
+
+    # At step 1 of "fewer-twos" the pivot row's entries carry at least 2^18
+    # and the later rows' only 2^12, so the common power of two must be read
+    # from every row.  At step 6 of "z-is-2e" the trailing block is 2^9
+    # times its packed rows and the previous pivot carries 2^26, so the
+    # division drops only z = 2e = 18 of its twos.
+    @pytest.mark.parametrize("twos, bound", [
+        pytest.param([6] * 6 + [0] * 18, 9, id="fewer-twos"),
+        pytest.param([6 if i % 5 == 0 else 0 for i in range(26)], 3, id="z-is-2e"),
+    ])
+    def test_two_adic_named_cases(self, twos, bound):
+        rng = Lcg(1)
+        m = two_adic_symmetric(twos, lambda i, j: rng.randint(-bound, bound))
+        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert det_exact(m) == naive_det(m)
+
+    # A pivot row and the packed rows after it, of decreasing length as in
+    # a trailing block, with their common power of two, read as 0 below 4.
+    # A negative digit borrows from the slot above it; the least even digit
+    # sits in the pivot row, the middle slot of a packed row or its top
+    # slot, or has fewer than two twos.
+    @pytest.mark.parametrize("pivot_row, rows, twos", [
+        ([4, -8, 12, -20, 8], [[-4, 8, 0, 16], [12, 24, -4]], 2),
+        ([-16, 8, -24, 16, -32], [[0, 0, -8, 0], [16, -16, 0]], 3),
+        ([16, -16, 32, 16, -16], [[-16, 32, 0, 4], [0, 0, 0]], 2),
+        ([-8, 0, 4, -8, 16], [[8, 3, 0, 8], [0, -16, 0]], 0),
+        ([-8, 0, 4, -8, 16], [[8, 4, 0, 8], [0, -18, 0]], 0),
+        ([-3, 8, 4, 0, 2], [[2, 4, -4, 8], [0, 4, 0]], 0),
+        ([-2, 8, 4, 0, 2], [[2, 4, -4, 8], [0, 4, 0]], 0),
+    ])
+    @pytest.mark.parametrize("width", [16, 40])
+    def test_common_twos_of_packed_rows(self, pivot_row, rows, twos, width):
+        packed = [_pack(row, width) for row in rows]
+        assert _common_twos(pivot_row, packed, 4, width) == twos
 
     @pytest.mark.parametrize("width", [24, 32, 64, 80])
     def test_extreme_entries_at_slot_boundary(self, width):
