@@ -19,7 +19,8 @@ A measure returns ``{metric: value}``, the metric naming its unit, and each
 metric is written as two rows, before then after, one row per line:
 
     {"layer", "name", "params", "metric", "rev",
-     "median", "q1", "q3", "values", "pairs_after_lower"}
+     "median", "q1", "q3", "values", "pairs_after_lower",
+     "ratios", "ratio_median"}
 
 ``values`` are the per-process values in round order, to 5 significant
 digits; ``median``, ``q1`` and ``q3`` are theirs, the quartiles by the
@@ -27,7 +28,12 @@ inclusive method, so they lie within the values.  ``pairs_after_lower``,
 on the after row only, counts the rounds whose after value is lower than
 the before value; ties count for neither side.  A row of fewer than PAIRS
 rounds (Tier-1) carries ``null`` there: a count out of two rounds cannot
-meet a rule written for ten.  Each run writes the file afresh.
+meet a rule written for ten.  ``ratios``, also on the after row only, are
+each round's after value over its before value (``null`` where the before
+value is 0), and ``ratio_median`` is their median: the two runs of a round
+are back to back, so a change of machine speed between rounds moves both
+and leaves the ratio, where it widens the quartiles of each side.  Each
+run writes the file afresh.
 
 Layers: L0 the exact kernels (the char poly of book distance matrices,
 the determinants of the oracle-scaling tree and book, the inverses of the
@@ -331,6 +337,11 @@ def summary(case: Case, revs: dict, runs: dict) -> list:
             if side == "after":
                 row["pairs_after_lower"] = None if case.rounds < PAIRS else sum(
                     after < before for after, before in zip(values["after"], values["before"]))
+                ratios = [_digits(after / before) if before else None
+                          for after, before in zip(values["after"], values["before"])]
+                known = [r for r in ratios if r is not None]
+                row["ratios"] = ratios
+                row["ratio_median"] = _digits(statistics.median(known)) if known else None
             rows.append(row)
     return rows
 

@@ -38,6 +38,7 @@ TIMEOUT_S = 300
 GENERAL = (LINALG_TESTS, "-x", "-k", "TestRank or TestInverse")
 REPAIRS = (LINALG_TESTS, "-x", "-k", "TestDeterminant or TestSymmetricInverse")
 PACKED = (LINALG_TESTS, "-x", "-k", "TestPackedElimination")
+BACKSUB = (LINALG_TESTS, "-x", "-k", "TestTwoAdicBackSubstitution")
 
 MUTANTS = [
     # The integer-row matrix.
@@ -62,8 +63,8 @@ MUTANTS = [
      (LINALG_TESTS, "-k", "TestIntegerRows"),
      "skip the cancellation of a scalar factor"),
     (LINALG,
-     "row[c] += row[k]\n    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d)",
-     "row[c] += row[k]\n    return RationalMatrix._reduced(n, n, x, d)",
+     "row[c] += row[k]\n    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d >> e)",
+     "row[c] += row[k]\n    return RationalMatrix._reduced(n, n, x, d >> e)",
      (LINALG_TESTS, "-k", "TestSymmetricInverse"),
      "drop the factor den in the symmetric inverse's scale-back"),
     (LINALG,
@@ -130,8 +131,8 @@ MUTANTS = [
      "drop the add in the finished rows"),
     # The packed symmetric elimination.
     (LINALG,
-     "return z, (abs(row_k[0]) * bound + g * g) // abs(prev >> z) + 1",
-     "return z, abs(row_k[0]) * bound // abs(prev >> z) + 1",
+     "top = abs(p) * bound + g * g",
+     "top = abs(p) * bound",
      PACKED,
      "drop G_k^2 from the packed slot bound"),
     (LINALG,
@@ -151,8 +152,8 @@ MUTANTS = [
      "stop the packed elimination one step early"),
     # The common power of two of the packed trailing block.
     (LINALG,
-     "z = e and min(2 * e, (prev & -prev).bit_length() - 1)",
-     "z = e and (prev & -prev).bit_length() - 1",
+     "z = e and min(2 * e, _twos(prev))",
+     "z = e and _twos(prev)",
      PACKED,
      "divide by the odd part of prev even where it has more than 2e twos"),
     (LINALG,
@@ -166,8 +167,8 @@ MUTANTS = [
      PACKED,
      "unpack the block for a pivot repair without its power of two"),
     (LINALG,
-     "s = _common_twos(row_k, rows[k + 1:], n - k - 1, w)",
-     "s = _common_twos(row_k, [], n - k - 1, w)",
+     "else _common_twos(row_k, rows[k + 1:], n - k - 1, w)",
+     "else _common_twos(row_k, [], n - k - 1, w)",
      PACKED,
      "read the common power of two from the pivot row only"),
     (LINALG,
@@ -175,6 +176,17 @@ MUTANTS = [
      "acc |= r & mask",
      PACKED,
      "read the digits' low bits without the slot bias"),
+    # The two-adic back-substitution of the symmetric inverse.
+    (LINALG,
+     "q = (rhs - (sum(map(mul, tail, col)) << e)) // (div << h)",
+     "q = (rhs - sum(map(mul, tail, col))) // (div << h)",
+     BACKSUB,
+     "drop the exponent's shift"),
+    (LINALG,
+     "                if q & ((1 << h) - 1):",
+     "                if False:",
+     BACKSUB,
+     "floor instead of the exact shift for a negative exponent"),
 ]
 
 CONTROL = (

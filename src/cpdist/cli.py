@@ -24,6 +24,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache
 from typing import Callable
 
 from . import closed_form as cf
@@ -54,6 +55,9 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Built by the first main() call, not at import, and reused by every later
+# one: parse_args keeps no state between calls.
+@cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="cpdist", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)

@@ -6,9 +6,11 @@ comparisons are integer operations plus at most one gcd pass, and the
 kernels read the integer rows directly: det(m) = det(num) / den^n and
 m^-1 = den * num^-1.  ``Fraction`` appears only at the boundary.
 Determinants, ranks and inverses come from fraction-free Bareiss
-elimination (inverses by fraction-free back-substitution and one division
-by the last pivot), characteristic polynomials from a reduction to upper
-Hessenberg form by similarity and the Hessenberg recurrence (both O(n^3)).
+elimination (inverses by fraction-free back-substitution, a symmetric
+matrix's adjugate held as a power of two times small integers, and one
+division by the last pivot), characteristic polynomials from a reduction
+to upper Hessenberg form by similarity and the Hessenberg recurrence (both
+O(n^3)).
 The shape of the input alone picks the elimination: a symmetric matrix,
 such as every distance matrix, is eliminated on its upper triangle only (a
 zero pivot is repaired by swapping or adding a later row and column), from
@@ -22,11 +24,12 @@ algorithms and share no shortcut with the closed forms they check.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from functools import reduce
-from operator import eq, mul, or_
+from operator import add, eq, mul, or_, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Entry = Union[int, Fraction]
@@ -36,6 +39,9 @@ Entry = Union[int, Fraction]
 # that slots are not widened at every step.
 _SYMMETRIC_PACK_MIN_ORDER = 24
 _PACK_HEADROOM_BITS = 16
+# _inverse_symmetric seeks the adjugate's common twos only when det has at
+# least one int digit of them: fewer save no digit of any product.
+_DIGIT_BITS = sys.int_info.bits_per_digit
 
 
 class SingularMatrixError(ValueError):
@@ -92,7 +98,7 @@ class RationalMatrix:
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[Entry]]) -> "RationalMatrix":
-        data = [[Fraction(e) for e in row] for row in rows]
+        data = [list(map(Fraction, row)) for row in rows]
         if not data or not data[0]:
             raise ValueError("matrix needs at least one row and column")
         cols = len(data[0])
@@ -105,7 +111,7 @@ class RationalMatrix:
         """Assemble from a 2-d grid of conformal blocks over the LCM of their
         denominators, which is canonical because each block is."""
         den = lcm(*[b.den for block_row in grid for b in block_row])
-        num: list[list[int]] = []
+        num = []
         cols = None
         for block_row in grid:
             height = block_row[0].rows
@@ -168,21 +174,19 @@ class RationalMatrix:
         return (Fraction(x, self.den) for row in self.num for x in row)
 
     def __add__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, 1)
+        return self._combine(other, add)
 
     def __sub__(self, other: "RationalMatrix") -> "RationalMatrix":
-        return self._combine(other, -1)
+        return self._combine(other, sub)
 
-    def _combine(self, other: "RationalMatrix", sign: int) -> "RationalMatrix":
-        """self + sign * other over the LCM of the two denominators."""
+    def _combine(self, other: "RationalMatrix", op) -> "RationalMatrix":
+        """``op`` (add or sub) of self and other, entrywise over the LCM of
+        the two denominators."""
         if self.rows != other.rows or self.cols != other.cols:
             raise ValueError("matrix dimensions differ")
         den = lcm(self.den, other.den)
         pairs = zip(_rescaled(self.num, den // self.den), _rescaled(other.num, den // other.den))
-        if sign > 0:
-            num = [[x + y for x, y in zip(a, b)] for a, b in pairs]
-        else:
-            num = [[x - y for x, y in zip(a, b)] for a, b in pairs]
+        num = [list(map(op, a, b)) for a, b in pairs]
         return RationalMatrix._reduced(self.rows, self.cols, num, den)
 
     def __neg__(self) -> "RationalMatrix":
@@ -203,7 +207,7 @@ class RationalMatrix:
         return self._scale(other)
 
     def __truediv__(self, other):
-        return self._scale(Fraction(1, 1) / Fraction(other))
+        return self._scale(1 / Fraction(other))
 
     def _scale(self, factor) -> "RationalMatrix":
         """factor * self: with factor = p/q in lowest terms, gcd(p, den) and
@@ -293,8 +297,7 @@ def _clear_rows(rows: Iterable[Sequence[Entry]]) -> tuple:
     """Clear each row to integers: ``(int_rows, scales)`` with
     ``int_rows[i] == scales[i] * rows[i]`` and ``scales[i]`` the LCM of row
     i's denominators (the coefficient lists of ``CharPoly``)."""
-    int_rows: list[list[int]] = []
-    scales: list[int] = []
+    int_rows, scales = [], []
     for row in rows:
         l = lcm(*[e.denominator for e in row])
         int_rows.append([e.numerator * (l // e.denominator) for e in row])
@@ -500,14 +503,21 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
             w, e = _slot_width(bound), 0
             rows[k:] = [_pack(row, w) for row in u[k:]]
             row_k = u[k]
-        z, new = _next_bound(row_k, bound, prev, e)
+        p, g = row_k[0], max(map(abs, row_k[1:]), default=0)
+        z = e and min(2 * e, _twos(prev))
+        d = prev >> z if z else prev
+        top = abs(p) * bound + g * g
+        new = top // abs(d) + 1
         if new.bit_length() + 2 > w:
-            s = _common_twos(row_k, rows[k + 1:], n - k - 1, w)
+            # A pivot with fewer than two twos rules out s >= 2 at once.
+            s = 0 if p & 3 else _common_twos(row_k, rows[k + 1:], n - k - 1, w)
             if s:
                 rows[k:] = [r >> s for r in rows[k:]]
                 row_k = [x >> s for x in row_k]
-                bound, e = bound >> s, e + s
-                z, new = _next_bound(row_k, bound, prev, e)
+                p, bound, e = p >> s, bound >> s, e + s
+                z = min(2 * e, _twos(prev))
+                d = prev >> z
+                new = (top >> 2 * s) // abs(d) + 1
             if new.bit_length() + 2 > w:
                 wider = _slot_width(new)
                 for i in range(k, n):
@@ -517,23 +527,12 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
         # u[k] holds the finished row, so its packed form is dropped; t runs
         # through R_k shifted right by 1, 2, ... slots, and each trailing
         # row is replaced in place, so no step holds two trailing blocks.
-        p, d = row_k[0], prev >> z
         half, t, rows[k] = 1 << (w - 1), rows[k], None
         for i in range(k + 1, n):
             t = (t + half) >> w
             rows[i] = (p * rows[i] - row_k[i - k] * t) // d
-        prev, e, bound = p << e, 2 * e - z, new
+        prev, e, bound = p << e if e else p, 2 * e - z, new
     return True
-
-
-def _next_bound(row_k: list, bound: int, prev: int, e: int) -> tuple:
-    """``(z, M')`` for a step of ``_bareiss_packed`` whose trailing block is
-    2^e times its packed entries, each at most ``bound`` = M: z =
-    min(2e, v2(prev)) twos of prev leave the row update's divisor, and M'
-    bounds the new packed entries."""
-    z = e and min(2 * e, (prev & -prev).bit_length() - 1)
-    g = max(map(abs, row_k[1:]), default=0)
-    return z, (abs(row_k[0]) * bound + g * g) // abs(prev >> z) + 1
 
 
 def _common_twos(row_k: list, rows: list, count: int, w: int) -> int:
@@ -561,8 +560,12 @@ def _common_twos(row_k: list, rows: list, count: int, w: int) -> int:
     while count > 1:
         count = (count + 1) // 2
         acc = (acc >> (count * w)) | (acc & ((1 << count * w) - 1))
-    acc |= low
-    return (acc & -acc).bit_length() - 1
+    return _twos(acc | low)
+
+
+def _twos(x: int) -> int:
+    """The exponent of the largest power of two that divides x != 0."""
+    return (x & -x).bit_length() - 1
 
 
 def _slot_width(bound: int) -> int:
@@ -628,7 +631,7 @@ def _repair_pivot(u: list, k: int, t: int) -> tuple:
             row = u[r]
             row[k - r], row[c - r] = row[c - r], row[k - r]
     else:
-        row = [x + y for x, y in zip(row_k, col_c)]
+        row = list(map(add, row_k, col_c))
         row[0] += row[t]
         u[k] = row
         for r in range(k):
@@ -651,11 +654,16 @@ def inverse_exact(m: RationalMatrix) -> RationalMatrix:
     Every symmetric matrix (every distance matrix, and the 0x0 and 1x1
     ones) takes ``_inverse_symmetric``: the half-triangle Bareiss
     elimination that ``det_exact`` also runs, then fraction-free
-    back-substitution on the upper triangle, about n^3/2 bigint products.
-    Every other matrix takes ``_inverse_general``: the full Bareiss
-    elimination of [num | I] and back-substitution, about 4n^3/3.  The
-    elimination packs its trailing rows from order 24 on, as in
-    ``det_exact``; the back-substitution stays on lists.
+    back-substitution on the upper triangle, about n^3/2 products.  On a
+    distance matrix those products shed their common powers of two into
+    one exponent first, so most are of single-digit ints: against
+    full-integer products the inverse takes 0.59x the time at the order-71
+    book, 0.48x at order 141 and 0.58x at the order-100 tree (2-vCPU VM,
+    Python 3.11, ``BENCH_21.json``).  Every other matrix takes
+    ``_inverse_general``: the full Bareiss elimination of [num | I] and
+    back-substitution, about 4n^3/3.  The elimination packs its trailing
+    rows from order 24 on, as in ``det_exact``; the back-substitution runs
+    on lists.
     """
     if not m.is_square:
         raise ValueError("inverse requires a square matrix")
@@ -676,38 +684,76 @@ def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
         X_ij = -(sum_{l>i} U_il X_lj) // p_i          for i < j,
 
     with every division exact, and the entries X_lj with l > j mirrored
-    from the columns already finished.  The logged repairs are undone in
-    reverse (X <- Q X Q^T for each repair's column operation Q), which
-    leaves the symmetric d * A^-1 for A = ``m.num``, so m^-1 = den * X / d.
+    from the columns already finished.
+
+    On distance matrices almost all the bits of these products are factors
+    of two, so they are held two-adically, as ``_bareiss_packed`` holds its
+    block (the row update of Bareiss 1968): X is 2^e times the integers x,
+    and row i of U is 2^g times [2^h * div, tail] with div odd.  Since
+    B X = d I, e starts at v2(d).  Then
+
+        X_ij = 2^(e-h) * q,    q = -(sum_{l>i} tail_l x_lj) // div,
+
+    the division exact because div is odd.  With h = 0 the entry keeps e
+    twos; otherwise x_ij = q >> h when q has h twos, and when it has only
+    t < h, e falls by h - t and every entry held so far shifts left by as
+    much, so no shift ever floors.  The diagonal divides by p_j / 2^g, and
+    e falls to the twos of its quotient in the same way.  Twos of d fewer
+    than one digit of an int (``_DIGIT_BITS``) are not sought: e, g and h
+    stay 0 and each step is the plain one.  The logged repairs are undone
+    in reverse (X <- Q X Q^T for each repair's column operation Q), which
+    leaves the symmetric d * A^-1 = 2^e x for A = ``m.num``, so m^-1 =
+    den * x / (d / 2^e).
     """
     elim = _bareiss_symmetric(m.num)
     if elim is None:
         raise SingularMatrixError("singular matrix", rank(m))
     u, repairs = elim
     n = len(u)
-    pivots = [row[0] for row in u]
-    d = pivots[-1] if n else 1
-    # tails[i] lists U_il for l = n-1 down to i+1, aligned with a column
-    # built from the bottom up.
-    tails = [row[:0:-1] for row in u]
+    d = u[-1][0] if n else 1
+    e = _twos(d)
+    if e < _DIGIT_BITS:
+        e = 0
+    # rows[i] = (tail, div, h, rhs): row i of U is 2^g * [2^h * div, tail],
+    # tail listed from column n-1 down to i+1 to align with a column built
+    # from the bottom up, and rhs = d * p_(i-1) / 2^g.
+    rows, prev = [], 1
+    for row in u:
+        g = e and _twos(reduce(or_, row))
+        h = e and _twos(row[0]) - g
+        rows.append(([y >> g for y in row[:0:-1]] if g else row[:0:-1], row[0] >> g + h, h, d * prev >> g))
+        prev = row[0]
     x = [None] * n
-    for j in range(n - 1, -1, -1):
-        col = [x[l][j] for l in range(n - 1, j, -1)]
-        col.append((d * (pivots[j - 1] if j else 1) - sum(map(mul, tails[j], col))) // pivots[j])
-        for i in range(j - 1, -1, -1):
-            col.append(-sum(map(mul, tails[i], col)) // pivots[i])
+    for j in reversed(range(n)):
+        x[j] = col = [c[j] for c in x[:j:-1]]
+        tail, div, h, rhs = rows[j]
+        q = (rhs - (sum(map(mul, tail, col)) << e)) // (div << h)
+        if e and q & ((1 << e) - 1):
+            t = _twos(q)
+            x[j:] = _rescaled(x[j:], 1 << e - t)
+            col, e = x[j], t
+        col.append(q >> e)
+        for tail, div, h, _ in reversed(rows[:j]):
+            q = -sum(map(mul, tail, col)) // div
+            if h:
+                if q & ((1 << h) - 1):
+                    # X_ij = 2^(e-h) q has fewer than e twos: lower e to them.
+                    t = _twos(q)
+                    x[j:] = _rescaled(x[j:], 1 << h - t)
+                    col, e, h = x[j], e - h + t, t
+                q >>= h
+            col.append(q)
         col.reverse()
-        x[j] = col
     for k, c, swap in reversed(repairs):
         if swap:
             x[k], x[c] = x[c], x[k]
             for row in x:
                 row[k], row[c] = row[c], row[k]
         else:
-            x[c] = [a + b for a, b in zip(x[c], x[k])]
+            x[c] = list(map(add, x[c], x[k]))
             for row in x:
                 row[c] += row[k]
-    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d)
+    return RationalMatrix._reduced(n, n, _rescaled(x, m.den), d >> e)
 
 
 def _inverse_general(m: RationalMatrix) -> RationalMatrix:
@@ -729,7 +775,7 @@ def _inverse_general(m: RationalMatrix) -> RationalMatrix:
     # cols[j] holds X_lj for l = n-1 down to i+1 when row i is solved, and
     # u lists U_il in the same order.
     cols = [[] for _ in range(n)]
-    for i in range(n - 1, -1, -1):
+    for i in reversed(range(n)):
         row = a[i]
         p = row[i]
         u = row[n - 1:i:-1]
@@ -808,26 +854,17 @@ class CharPoly:
         return CharPoly(tuple(quot)), tuple(num[:dn])
 
     def __str__(self) -> str:
+        # Each nonzero term as "+ body" or "- body", highest degree first; the
+        # first term keeps only a minus sign.
         terms = []
         for k in range(self.degree, -1, -1):
             c = self.coeffs[k]
-            if c == 0:
-                continue
-            if k == 0:
-                body = rational_str(abs(c))
-            else:
-                mag = abs(c)
-                xpow = "x" if k == 1 else f"x^{k}"
-                body = xpow if mag == 1 else f"{rational_str(mag)}*{xpow}"
-            sign = "-" if c < 0 else "+"
-            terms.append((sign, body))
-        if not terms:
-            return "0"
-        first_sign, first_body = terms[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in terms[1:]:
-            out += f" {sign} {body}"
-        return out
+            if c:
+                mag, xpow = rational_str(abs(c)), "x" if k == 1 else f"x^{k}"
+                body = mag if k == 0 else xpow if abs(c) == 1 else f"{mag}*{xpow}"
+                terms.append(("- " if c < 0 else "+ ") + body)
+        out = " ".join(terms) or "+ 0"
+        return out[2:] if out[0] == "+" else "-" + out[2:]
 
 
 def _convolve(a: list, b: list) -> list:
@@ -932,7 +969,7 @@ def char_poly_exact(m: RationalMatrix) -> CharPoly:
         for j, c in enumerate(prev):
             p[j] -= g_kk * c
         chain = 1
-        for i in range(k - 1, -1, -1):
+        for i in reversed(range(k)):
             chain *= g[i + 1][i]
             if not chain:
                 break

@@ -87,3 +87,29 @@ def test_rows_of_fewer_rounds_leave_the_pair_count_out():
     for row in (before, after):
         assert min(row["values"]) <= row["q1"] <= row["median"] <= row["q3"] <= max(row["values"])
     assert (before["q1"], before["q3"]) == (33772, 35550)
+
+
+def test_after_row_carries_each_rounds_ratio_and_their_median():
+    # Two machine speeds across the rounds: the before side alone spans
+    # 1.2 to 2.05, and the after side is 2-4% higher in every round.
+    before = [1.2, 1.25, 2.05, 1.22, 2.0, 1.21, 1.19, 2.02, 1.23, 1.2]
+    after = [b * f for b, f in zip(before, (1.02, 1.03, 1.04, 1.02, 1.03, 1.02, 1.04, 1.03, 1.02, 1.03))]
+    runs = {"before": [{"ms": v} for v in before], "after": [{"ms": v} for v in after]}
+    rows = bl.summary(bl.Case("L0", "det_exact", {"order": 30}, measure=None), REVS, runs)
+    assert "ratios" not in rows[0] and "ratio_median" not in rows[0]
+    after_row = rows[1]
+    # The existing rule reads no gain and no loss here ...
+    assert after_row["pairs_after_lower"] == 0
+    assert after_row["median"] - rows[0]["median"] < rows[0]["q3"] - rows[0]["q1"]
+    # ... while every round's ratio shows the steady 2-4%.
+    assert after_row["ratios"] == [bl._digits(a / b) for a, b in zip(after_row["values"], before)]
+    assert all(1.019 < r < 1.041 for r in after_row["ratios"])
+    assert after_row["ratio_median"] == 1.03
+
+
+def test_ratios_of_a_zero_before_value_and_of_fewer_rounds():
+    runs = {"before": [{"n": 0}, {"n": 4}, {"n": 5}], "after": [{"n": 1}, {"n": 2}, {"n": 10}]}
+    after = bl.summary(bl.Case("L3", "tier1", {}, measure=None, rounds=3), REVS, runs)[1]
+    assert after["pairs_after_lower"] is None
+    assert after["ratios"] == [None, 0.5, 2.0]
+    assert after["ratio_median"] == 1.25

@@ -452,6 +452,42 @@ class TestUsageErrors:
         assert f"unrecognized arguments: {' '.join(option)}" in capsys.readouterr().err
 
 
+# Calls over several subcommands, usage errors (exit 1) and a singular
+# request (exit 2) among them; the two tree calls omit --seed and rely on its
+# default of 42, one after a call that set --seed 7.
+PARSER_REUSE_CALLS = [
+    ["gen", "--family", "tree", "--n", "9", "--kind", "lap"],
+    ["det", "--family", "tn-book", "--n", "5", "--b", "2", "--json", "-"],
+    ["det", "--family", "nope"],
+    ["inv", "--family", "kmn", "--m", "2", "--n", "2"],
+    ["spectrum", "--part", "NC", "--n", "5", "--b", "2"],
+    ["gen", "--family", "tree", "--n", "9", "--seed", "7", "--kind", "lap"],
+    ["spectrum", "--part", "NC", "--b", "2"],
+    ["inv", "--family", "tn", "--n", "5"],
+    ["gen", "--family", "tree", "--n", "9", "--kind", "lap"],
+]
+
+
+def test_reused_parser_gives_each_call_its_first_run_output(capsys):
+    def run(argv):
+        code = main(argv)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = []
+    for argv in PARSER_REUSE_CALLS:
+        cli._build_parser.cache_clear()
+        first.append(run(argv))
+    assert [code for code, _, _ in first] == [0, 0, 1, 2, 0, 0, 1, 0, 0]
+    cli._build_parser.cache_clear()
+    assert [run(argv) for argv in PARSER_REUSE_CALLS] == first
+    # One parser served the whole sequence.
+    assert cli._build_parser.cache_info().misses == 1
+    # The --seed default gives the seed-42 tree, not the seed-7 one before it.
+    assert first[-1] == first[0] != first[-4]
+    assert first[-1] == run(["gen", "--family", "tree", "--n", "9", "--seed", "42", "--kind", "lap"])
+
+
 # Per family: its graph spec from the size flags, small sizes to run and the
 # minimum of each size flag.  (2, 2) and n = 6 are the singular sizes.
 FAMILY_CASES = {

@@ -3,6 +3,7 @@
 import tracemalloc
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 import pytest
 from hypothesis import Phase, given, settings
@@ -190,6 +191,41 @@ def list_bareiss_symmetric(num):
     return u, repairs
 
 
+def list_back_substitution(m):
+    """Reference for ``_inverse_symmetric``: the inverse of the symmetric
+    matrix m from the rows of ``list_bareiss_symmetric``, back-substituted
+    with every adjugate entry a full integer, one interpreted dot product
+    per entry, and its repairs undone; None when m is singular."""
+    elim = list_bareiss_symmetric(m.num)
+    if elim is None:
+        return None
+    u, repairs = elim
+    n = len(u)
+    pivots = [row[0] for row in u]
+    d = pivots[-1] if n else 1
+    # tails[i] lists U_il for l = n-1 down to i+1, aligned with a column
+    # built from the bottom up.
+    tails = [row[:0:-1] for row in u]
+    x = [None] * n
+    for j in range(n - 1, -1, -1):
+        col = [x[l][j] for l in range(n - 1, j, -1)]
+        col.append((d * (pivots[j - 1] if j else 1) - sum(map(mul, tails[j], col))) // pivots[j])
+        for i in range(j - 1, -1, -1):
+            col.append(-sum(map(mul, tails[i], col)) // pivots[i])
+        col.reverse()
+        x[j] = col
+    for k, c, swap in reversed(repairs):
+        if swap:
+            x[k], x[c] = x[c], x[k]
+            for row in x:
+                row[k], row[c] = row[c], row[k]
+        else:
+            x[c] = [a + b for a, b in zip(x[c], x[k])]
+            for row in x:
+                row[c] += row[k]
+    return RationalMatrix._reduced(n, n, [[v * m.den for v in row] for row in x], d)
+
+
 def congruent_tail(n, tail, seed):
     """The symmetric integer matrix L diag(h, tail) L^T of order n, for h a
     diagonal of nonzero entries and L a unit lower triangle with entries
@@ -329,6 +365,17 @@ def two_adic_symmetric_matrices(draw):
     zero_diagonal = draw(st.booleans())
     return two_adic_symmetric(
         twos, lambda i, j: 0 if zero_diagonal and i == j else rng.randint(-bound, bound))
+
+
+@st.composite
+def repaired_symmetric_matrices(draw):
+    """``congruent_tail`` of orders 2-30 times 2^k, k in 0..40, whose tail
+    [[0, a], [a, b]] gives step n-2 a zero pivot: b != 0 repairs it by a
+    swap, b = 0 by an add."""
+    n = draw(st.integers(2, 30))
+    a = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
+    b = draw(st.sampled_from([0, 0, 1, -3, 4]))
+    return (1 << draw(st.integers(0, 40))) * congruent_tail(n, [[0, a], [a, b]], draw(st.integers(0, 99)))
 
 
 def faddeev_leverrier(m):
@@ -822,6 +869,82 @@ class TestSymmetricInverse:
     def test_singular_distance_matrices(self, spec):
         d = all_pairs_distances(build_family(spec))
         assert inverse_or_rank(inverse_exact, d) == inverse_or_rank(_inverse_general, d) == naive_rank(d)
+
+
+def inverse_or_none(m):
+    """``inverse_exact(m)``, checked to be canonical, or None when it
+    raises SingularMatrixError."""
+    try:
+        result = inverse_exact(m)
+    except SingularMatrixError:
+        return None
+    assert_canonical(result)
+    return result
+
+
+class TestTwoAdicBackSubstitution:
+    """``inverse_exact`` of a symmetric matrix, whose back-substitution
+    holds the adjugate as a power of two times small integers, equals
+    ``list_back_substitution``, whose entries are full integers."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_matrices(), st.integers(0, 40))
+    def test_random_symmetric_and_times_a_power_of_two(self, m, k):
+        # From 2^k with k*n >= 30 the adjugate's twos are sought.
+        for scaled in (m, (1 << k) * m):
+            assert inverse_or_none(scaled) == list_back_substitution(scaled)
+
+    @settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(packed_symmetric_matrices(), st.integers(0, 8))
+    def test_packed_orders_and_times_a_power_of_two(self, m, k):
+        for scaled in (m, (1 << k) * m):
+            assert inverse_or_none(scaled) == list_back_substitution(scaled)
+
+    # Rows and columns with different powers of two: the pivots carry twos
+    # that the rest of their rows lack, so the exponent of the adjugate
+    # falls during the back-substitution.
+    @settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(two_adic_symmetric_matrices())
+    def test_two_adic(self, m):
+        assert inverse_or_none(m) == list_back_substitution(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(repaired_symmetric_matrices())
+    def test_swap_and_add_repairs(self, m):
+        n = m.rows
+        _, repairs = _bareiss_symmetric(m.num)
+        assert [k for k, _, _ in repairs] == [n - 2]
+        assert inverse_or_none(m) == list_back_substitution(m)
+
+    @pytest.mark.parametrize("spec", [
+        *[Tree(random_tree_edges(n, Lcg(n))) for n in (3, 16, 33, 64)],
+        TnBook(4, 5), TnBook(8, 10), CompleteBipartite(3, 4),
+    ], ids=repr)
+    def test_distance_matrices(self, spec):
+        d = all_pairs_distances(build_family(spec))
+        expected = list_back_substitution(d)
+        assert expected is not None
+        assert inverse_exact(d) == expected
+
+    @pytest.mark.parametrize("m", [
+        imat(0), RationalMatrix.from_rows([[Fraction(-3, 4)]]), swap2(),
+        RationalMatrix.from_rows([[2, 1], [1, 2]]), (1 << 40) * swap2(),
+    ], ids=["order-0", "order-1", "order-2-add", "order-2", "order-2-add-times-2^40"])
+    def test_orders_0_to_2(self, m):
+        expected = list_back_substitution(m)
+        assert expected is not None
+        assert inverse_exact(m) == expected
+
+    @pytest.mark.parametrize("m", [
+        zmat(1, 1), RationalMatrix.from_rows([[1, 2], [2, 4]]),
+        RationalMatrix.from_rows(SYMMETRIC_REPAIRS[4][0]),
+        (1 << 35) * RationalMatrix.from_rows(SYMMETRIC_REPAIRS[4][0]),
+        all_pairs_distances(build_family(TnBook(6, 5))),
+        all_pairs_distances(build_family(CompleteBipartite(2, 2))),
+    ], ids=["zero-1x1", "rank-1", "zero-row", "zero-row-times-2^35", "tn-book-6-5", "k22"])
+    def test_singular(self, m):
+        assert list_back_substitution(m) is None
+        assert inverse_or_none(m) is None
 
 
 class TestPackedElimination:
