@@ -33,12 +33,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 LINALG = "src/cpdist/linalg.py"
+PACKING = "src/cpdist/packing.py"
 LINALG_TESTS = "tests/test_linalg.py"
 TIMEOUT_S = 300
 GENERAL = (LINALG_TESTS, "-x", "-k", "TestRank or TestInverse")
 REPAIRS = (LINALG_TESTS, "-x", "-k", "TestDeterminant or TestSymmetricInverse")
 PACKED = (LINALG_TESTS, "-x", "-k", "TestPackedElimination")
 BACKSUB = (LINALG_TESTS, "-x", "-k", "TestTwoAdicBackSubstitution")
+DEFERRED = (LINALG_TESTS, "-x", "-k", "TestDeferredDivision")
 
 MUTANTS = [
     # The integer-row matrix.
@@ -146,8 +148,8 @@ MUTANTS = [
      PACKED,
      "skip the widening of packed slots"),
     (LINALG,
-     "    for k in range(n):\n        row_k = _unpack(",
-     "    for k in range(n - 1):\n        row_k = _unpack(",
+     "    for k in range(n):\n        if c != 1:",
+     "    for k in range(n - 1):\n        if c != 1:",
      (LINALG_TESTS, "-x", "-k", "test_last_steps"),
      "stop the packed elimination one step early"),
     # The common power of two of the packed trailing block.
@@ -157,13 +159,13 @@ MUTANTS = [
      PACKED,
      "divide by the odd part of prev even where it has more than 2e twos"),
     (LINALG,
-     "u[k] = [x << e for x in row_k] if e else row_k",
-     "u[k] = row_k",
+     "u[k], twos[k] = row_k, e",
+     "u[k], twos[k] = row_k, 0",
      PACKED,
      "store finished rows without their power of two"),
     (LINALG,
-     "u[k:] = [[x << e for x in _unpack(r, n - i, w)]",
-     "u[k:] = [[x for x in _unpack(r, n - i, w)]",
+     "u[k:] = [[x << e for x in _unpack(",
+     "u[k:] = [[x for x in _unpack(",
      PACKED,
      "unpack the block for a pivot repair without its power of two"),
     (LINALG,
@@ -171,11 +173,46 @@ MUTANTS = [
      "else _common_twos(row_k, [], n - k - 1, w)",
      PACKED,
      "read the common power of two from the pivot row only"),
-    (LINALG,
+    (PACKING,
      "acc |= (r + bias) & mask",
      "acc |= r & mask",
      PACKED,
      "read the digits' low bits without the slot bias"),
+    # The deferred division of the packed rows by the pending divisors c.
+    (LINALG,
+     "            rows[k] //= c",
+     "            pass",
+     DEFERRED,
+     "skip the pivot row's division by c"),
+    (LINALG,
+     "            if c != 1:\n                rows[k + 1:] = [r // c for r in rows[k + 1:]]\n                c = 1\n"
+     "            # A pivot with fewer than two twos rules out s >= 2 at once.\n"
+     "            s = 0 if p & 3 else _common_twos(row_k, rows[k + 1:], n - k - 1, w)\n",
+     "            s = 0 if p & 3 else _common_twos(row_k, rows[k + 1:], n - k - 1, w)\n"
+     "            if c != 1:\n                rows[k + 1:] = [r // c for r in rows[k + 1:]]\n                c = 1\n",
+     DEFERRED,
+     "call _common_twos before dividing the trailing rows by c"),
+    (LINALG,
+     "            if c != 1:\n                rows[k + 1:] = [r // c for r in rows[k + 1:]]",
+     "            if c != 1 and not p & 3:\n                rows[k + 1:] = [r // c for r in rows[k + 1:]]",
+     DEFERRED,
+     "widen before dividing the trailing rows by c"),
+    (LINALG,
+     "_unpack(r // c if i > k else r, n - i, w)",
+     "_unpack(r, n - i, w)",
+     DEFERRED,
+     "repair without dividing the trailing rows by c"),
+    # Unpacking through one int64 array.
+    (PACKING,
+     "data = ((r + bias) ^ bias).to_bytes(",
+     "data = (r + bias).to_bytes(",
+     PACKED,
+     "drop the XOR with the slot bias in _unpack"),
+    (PACKING,
+     "signs = data[size - 1::size]",
+     "signs = data[0::size]",
+     PACKED,
+     "sign-extend from the wrong byte"),
     # The two-adic back-substitution of the symmetric inverse.
     (LINALG,
      "q = (rhs - (sum(map(mul, tail, col)) << e)) // (div << h)",

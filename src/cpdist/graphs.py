@@ -195,24 +195,30 @@ def is_tree(g: Graph) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> RationalMatrix:
-    """Shortest-path distance matrix by BFS from every vertex."""
-    adj = g.adjacency()
+    """Shortest-path distance matrix by BFS from every vertex, one level at
+    a time: the vertices first reached at distance l are listed as the
+    frontier from which level l + 1 is found."""
     n = g.vertex_count
+    # neighbors[v] lists the neighbors of vertex v; slot 0 is unused
+    neighbors = [[], *g.adjacency().values()]
     rows = []
     for source in range(1, n + 1):
         dist = [-1] * (n + 1)
         dist[source] = 0
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            du = dist[u] + 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = du
-                    queue.append(v)
-        if min(dist[1:]) < 0:
+        frontier, level = [source], 0
+        while frontier:
+            level += 1
+            reached = []
+            for u in frontier:
+                for v in neighbors[u]:
+                    if dist[v] < 0:
+                        dist[v] = level
+                        reached.append(v)
+            frontier = reached
+        row = dist[1:]
+        if min(row) < 0:
             raise GraphError("graph not connected")
-        rows.append(dist[1:])
+        rows.append(row)
     return RationalMatrix._of(n, n, rows)
 
 

@@ -28,17 +28,16 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from functools import reduce
-from operator import add, eq, mul, or_, sub
+from operator import add, eq, mul, sub
 from typing import Iterable, Optional, Sequence, Union
+
+from .packing import _common_twos, _pack, _slot_width, _twos, _unpack, _widen
 
 Entry = Union[int, Fraction]
 
 # _bareiss_symmetric packs its trailing rows into ints from this order on
-# (measured in det_exact's docstring).  Each packed slot gets spare bits so
-# that slots are not widened at every step.
+# (measured in det_exact's docstring).
 _SYMMETRIC_PACK_MIN_ORDER = 24
-_PACK_HEADROOM_BITS = 16
 # _inverse_symmetric seeks the adjugate's common twos only when det has at
 # least one int digit of them: fewer save no digit of any product.
 _DIGIT_BITS = sys.int_info.bits_per_digit
@@ -326,7 +325,15 @@ def det_exact(m: RationalMatrix) -> Fraction:
     Bareiss entry of a distance matrix carries (about 2^(k-2) at step k of
     a tree's) into one exponent of the block, so each row is divided by
     the odd part of the previous pivot rather than by all of it; the
-    result is the same integer.
+    result is the same integer.  That odd part is a few bits wide, so the
+    division also waits while the pending divisors fit one int digit: each
+    trailing row is held times their product, and divided exactly by it
+    before any of its slots is read.  With it, and with unpacking through one
+    int64 array, the determinant takes 0.71x the time of dividing at every
+    step on the order-200 tree, 0.74x on the order-100 tree and 0.76x on
+    the order-141 book, lower in 9-10 of 10 fresh-process pairs, and
+    1.00-1.01x on random symmetric matrices of orders 30-100
+    (``BENCH_23.json``, medians of the per-pair ratios).
     """
     if not m.is_square:
         raise ValueError("determinant requires a square matrix")
@@ -389,7 +396,7 @@ def _det_symmetric(num: list) -> int:
     ``_bareiss_symmetric``: the last pivot, or 0 when a trailing row is all
     zero."""
     elim = _bareiss_symmetric(num)
-    return 0 if elim is None else elim[0][-1][0] if num else 1
+    return 0 if elim is None else elim[0][-1][0] << elim[1][-1] if num else 1
 
 
 def _bareiss_symmetric(num: list):
@@ -412,21 +419,23 @@ def _bareiss_symmetric(num: list):
     per entry, and the trailing block is held as 2^e times its packed rows
     so that the common power of two of its entries costs no bits; its
     docstring gives the slot width bound and why the packed division is
-    exact.  Finished rows are stored times 2^e, so the packed steps return
-    the same rows and repair log as list rows.  A smaller matrix updates
-    list rows; ``det_exact`` has the measured ratios.
+    exact.  A smaller matrix updates list rows; ``det_exact`` has the
+    measured ratios.
 
-    Returns ``(u, repairs)``: the finished rows of the Bareiss elimination
-    of B = E^T A E, where E is the product of the logged repairs
-    ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] (the last one
-    det B = det A).  Returns None when a trailing row is all zero, that is
-    when the matrix is singular.
+    Returns ``(u, twos, repairs)``: the finished rows u[k] << twos[k] of the
+    Bareiss elimination of B = E^T A E, where E is the product of the logged
+    repairs ``(k, c, is_swap)`` in order, with pivots p_k = u[k][0] <<
+    twos[k] (the last one det B = det A).  Each row keeps the exponent of
+    the packed block at its step, so it holds small ints; list rows have 0.
+    Repairs only swap or add entries within a finished row, so each keeps
+    one scale.  Returns None when a trailing row is all zero, that is when
+    the matrix is singular.
     """
     n = len(num)
     u = [row[i:] for i, row in enumerate(num)]
-    repairs = []
+    twos, repairs = [0] * n, []
     if n >= _SYMMETRIC_PACK_MIN_ORDER:
-        return (u, repairs) if _bareiss_packed(u, repairs) else None
+        return (u, twos, repairs) if _bareiss_packed(u, twos, repairs) else None
     prev = 1
     for k in range(n):
         if u[k][0] == 0 and not _repair_zero_pivot(u, k, repairs):
@@ -437,7 +446,7 @@ def _bareiss_symmetric(num: list):
             f = row_k[i - k]
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
-    return u, repairs
+    return u, twos, repairs
 
 
 def _repair_zero_pivot(u: list, k: int, repairs: list) -> bool:
@@ -451,18 +460,18 @@ def _repair_zero_pivot(u: list, k: int, repairs: list) -> bool:
     return True
 
 
-def _bareiss_packed(u: list, repairs: list) -> bool:
+def _bareiss_packed(u: list, twos: list, repairs: list) -> bool:
     """Every step of ``_bareiss_symmetric``, run in place on ``u`` with each
     trailing row packed into one int.
 
     The trailing block is 2^e times its packed rows: trailing row i is
     2^e * R_i, R_i = sum_t x_t * 2^(w*t) with balanced digits |x_t| <
     2^(w-1) (Kronecker substitution).  Step k unpacks the pivot row R_k
-    once, stores it times 2^e as the finished row ``u[k]``, and by
-    symmetry reads each row's multiplier f_i = x_(i-k) of R_k from it, with
-    p = x_0.  Shifting R_k right by (i-k)*w with rounding drops its first
-    i-k digits exactly (their sum is below 2^((i-k)*w-1) in absolute value)
-    and aligns the rest with R_i, so with z = min(2e, v2(prev))
+    once, stores it as the finished row ``u[k]`` with ``twos[k]`` = e, and
+    by symmetry reads each row's multiplier f_i = x_(i-k) of R_k from it,
+    with p = x_0.  Shifting R_k right by (i-k)*w with rounding drops its
+    first i-k digits exactly (their sum is below 2^((i-k)*w-1) in absolute
+    value) and aligns the rest with R_i, so with z = min(2e, v2(prev))
 
         R_i <- (p*R_i - f_i*T_i) // (prev >> z),    e <- 2e - z
 
@@ -483,6 +492,23 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
     unpacks the trailing block times 2^e, repairs it with ``_repair_pivot``
     on the lists, recomputes M from the block and packs it again with e = 0.
 
+    The division by d = prev >> z waits (Bareiss 1968 once more): each
+    trailing row is held as S_i = c * R_i, c the product of the divisors
+    still pending, and a step divides only the pivot row by c.  The others
+    become S_i <- p*S_i - (c*f_i)*T_i = c*d * R_i', with no division, while
+    |c*d| fits one int digit (``_DIGIT_BITS``); otherwise the step divides
+    by c*d in the same pass and c returns to 1.  S_i = c * R_i holds as
+    integers, so every division by c is exact, and no slot of S_i is read:
+    the trailing rows are divided by c before ``_common_twos``, a widening
+    or the unpacking for a repair.  The division is most of what a wait
+    saves: over 100 rows of 100 slots at w = 48 the update takes 250 us
+    with ``// d``, even for d = 1, and 95 us without (2-vCPU VM, Python
+    3.11).  On random symmetric matrices of orders 30-60 with entries in
+    [-9, 9], d outgrows a digit by step 9, after which c stays 1 and each
+    step divides as above; on distance matrices d is a few bits wide, and
+    the order-200 tree's 200 steps divide the block 53 times, 48 of them
+    before a widening.
+
     Returns True with the finished rows in ``u``, or False when a trailing
     row is all zero.
     """
@@ -492,15 +518,18 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
     bound = max(max(map(abs, row)) for row in u)
     w = _slot_width(bound)
     rows = [_pack(row, w) for row in u]
-    prev, e = 1, 0
+    prev, e, c = 1, 0, 1
     for k in range(n):
+        if c != 1:
+            rows[k] //= c
         row_k = _unpack(rows[k], n - k, w)
         if row_k[0] == 0:
-            u[k:] = [[x << e for x in _unpack(r, n - i, w)] for i, r in enumerate(rows[k:], k)]
+            u[k:] = [[x << e for x in _unpack(r // c if i > k else r, n - i, w)]
+                     for i, r in enumerate(rows[k:], k)]
             if not _repair_zero_pivot(u, k, repairs):
                 return False
             bound = max(max(map(abs, row)) for row in u[k:])
-            w, e = _slot_width(bound), 0
+            w, e, c = _slot_width(bound), 0, 1
             rows[k:] = [_pack(row, w) for row in u[k:]]
             row_k = u[k]
         p, g = row_k[0], max(map(abs, row_k[1:]), default=0)
@@ -509,6 +538,9 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
         top = abs(p) * bound + g * g
         new = top // abs(d) + 1
         if new.bit_length() + 2 > w:
+            if c != 1:
+                rows[k + 1:] = [r // c for r in rows[k + 1:]]
+                c = 1
             # A pivot with fewer than two twos rules out s >= 2 at once.
             s = 0 if p & 3 else _common_twos(row_k, rows[k + 1:], n - k - 1, w)
             if s:
@@ -523,88 +555,19 @@ def _bareiss_packed(u: list, repairs: list) -> bool:
                 for i in range(k, n):
                     rows[i] = _widen(rows[i], n - i, w, wider)
                 w = wider
-        u[k] = [x << e for x in row_k] if e else row_k
+        u[k], twos[k] = row_k, e
         # u[k] holds the finished row, so its packed form is dropped; t runs
         # through R_k shifted right by 1, 2, ... slots, and each trailing
         # row is replaced in place, so no step holds two trailing blocks.
-        half, t, rows[k] = 1 << (w - 1), rows[k], None
+        half, t, rows[k], cd = 1 << (w - 1), rows[k], None, c * d
+        wait = not abs(cd) >> _DIGIT_BITS
+        fs = row_k if c == 1 else [c * f for f in row_k]
         for i in range(k + 1, n):
             t = (t + half) >> w
-            rows[i] = (p * rows[i] - row_k[i - k] * t) // d
-        prev, e, bound = p << e if e else p, 2 * e - z, new
+            r = p * rows[i] - fs[i - k] * t
+            rows[i] = r if wait else r // cd
+        prev, e, bound, c = p << e if e else p, 2 * e - z, new, cd if wait else 1
     return True
-
-
-def _common_twos(row_k: list, rows: list, count: int, w: int) -> int:
-    """The largest s with 2^s dividing every entry of the pivot row
-    ``row_k``, one of them nonzero, and every digit of the packed ``rows``
-    of at most ``count`` w-bit slots, or 0 when s < 2: shedding a lone
-    factor 2 saves one bit per slot for a pass over the block, and random
-    integer matrices show one at about a third of their widenings.  The
-    pivot row bounds s first, and a packed row with a digit that is not a
-    multiple of 4 ends the scan.  A packed row plus the slot bias has
-    nonnegative digits, so masking each slot's low bits reads its digit
-    modulo a power of two with no borrow from below; the masked rows are
-    ORed, then their slots are folded onto the lowest."""
-    low = reduce(or_, row_k)
-    low &= -low
-    if low < 4:
-        return 0
-    bias = _slot_bias(count, w, w)
-    unit = bias >> (w - 1)
-    mask, low_two, acc = unit * (low - 1), unit * 3, 0
-    for r in rows:
-        acc |= (r + bias) & mask
-        if acc & low_two:
-            return 0
-    while count > 1:
-        count = (count + 1) // 2
-        acc = (acc >> (count * w)) | (acc & ((1 << count * w) - 1))
-    return _twos(acc | low)
-
-
-def _twos(x: int) -> int:
-    """The exponent of the largest power of two that divides x != 0."""
-    return (x & -x).bit_length() - 1
-
-
-def _slot_width(bound: int) -> int:
-    """Slot width in bits, a whole number of bytes, for packed entries of
-    absolute value at most ``bound``, with _PACK_HEADROOM_BITS to spare
-    beyond the two bits the balanced digits and their sign take."""
-    return (bound.bit_length() + 2 + _PACK_HEADROOM_BITS + 7) & ~7
-
-
-def _slot_bias(count: int, w: int, stride: int) -> int:
-    """sum_t 2^(w-1) * 2^(stride*t) over ``count`` slots: added to a packed
-    row, it makes every w-bit digit nonnegative."""
-    return int.from_bytes((bytes(w // 8 - 1) + b"\x80" + bytes((stride - w) // 8)) * count, "little")
-
-
-def _pack(row: list, w: int) -> int:
-    """``row`` as one int of w-bit balanced digits, entry t at bit w*t."""
-    size, half = w // 8, 1 << (w - 1)
-    data = b"".join([(x + half).to_bytes(size, "little") for x in row])
-    return int.from_bytes(data, "little") - _slot_bias(len(row), w, w)
-
-
-def _unpack(r: int, count: int, w: int) -> list:
-    """The ``count`` entries of the packed row ``r``."""
-    size, half = w // 8, 1 << (w - 1)
-    data = (r + _slot_bias(count, w, w)).to_bytes(count * size, "little")
-    return [int.from_bytes(data[s:s + size], "little") - half for s in range(0, count * size, size)]
-
-
-def _widen(r: int, count: int, w: int, wider: int) -> int:
-    """The packed row ``r`` of ``count`` w-bit slots, repacked in slots of
-    ``wider`` bits: its biased bytes move by one strided slice per byte of
-    a slot, and the old bias comes off in the new layout."""
-    size, new_size = w // 8, wider // 8
-    old = (r + _slot_bias(count, w, w)).to_bytes(count * size, "little")
-    new = bytearray(count * new_size)
-    for b in range(size):
-        new[b::new_size] = old[b::size]
-    return int.from_bytes(new, "little") - _slot_bias(count, w, wider)
 
 
 def _repair_pivot(u: list, k: int, t: int) -> tuple:
@@ -708,21 +671,20 @@ def _inverse_symmetric(m: RationalMatrix) -> RationalMatrix:
     elim = _bareiss_symmetric(m.num)
     if elim is None:
         raise SingularMatrixError("singular matrix", rank(m))
-    u, repairs = elim
+    u, twos, repairs = elim
     n = len(u)
-    d = u[-1][0] if n else 1
+    d = u[-1][0] << twos[-1] if n else 1
     e = _twos(d)
     if e < _DIGIT_BITS:
         e = 0
     # rows[i] = (tail, div, h, rhs): row i of U is 2^g * [2^h * div, tail],
-    # tail listed from column n-1 down to i+1 to align with a column built
-    # from the bottom up, and rhs = d * p_(i-1) / 2^g.
+    # g = twos[i], tail listed from column n-1 down to i+1 to align with a
+    # column built from the bottom up, and rhs = d * p_(i-1) / 2^g.
     rows, prev = [], 1
-    for row in u:
-        g = e and _twos(reduce(or_, row))
-        h = e and _twos(row[0]) - g
-        rows.append(([y >> g for y in row[:0:-1]] if g else row[:0:-1], row[0] >> g + h, h, d * prev >> g))
-        prev = row[0]
+    for row, g in zip(u, twos):
+        h = e and _twos(row[0])
+        rows.append((row[:0:-1], row[0] >> h, h, d * prev >> g))
+        prev = row[0] << g
     x = [None] * n
     for j in reversed(range(n)):
         x[j] = col = [c[j] for c in x[:j:-1]]

@@ -1,12 +1,14 @@
 """Exact linear algebra: oracles, matrix lemmas, and their cross-checks."""
 
+import sys
 import tracemalloc
+from contextlib import contextmanager
 from fractions import Fraction
 from math import gcd
 from operator import mul
 
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from cpdist.closed_form import (
@@ -17,6 +19,7 @@ from cpdist.closed_form import (
     tree_det,
     tree_inverse,
 )
+from cpdist import linalg, packing
 from cpdist.graphs import CompleteBipartite, TnBook, Tree, all_pairs_distances, build_family
 from cpdist.linalg import (
     AibjAnalysis,
@@ -24,18 +27,13 @@ from cpdist.linalg import (
     RationalMatrix,
     SingularMatrixError,
     SpectrumClaim,
-    _PACK_HEADROOM_BITS,
     _SYMMETRIC_PACK_MIN_ORDER,
     _bareiss_symmetric,
-    _common_twos,
     _det_general,
     _det_symmetric,
     _inverse_general,
     _inverse_symmetric,
-    _pack,
     _repair_pivot,
-    _unpack,
-    _widen,
     aibj_analysis,
     char_poly_exact,
     det_exact,
@@ -50,6 +48,7 @@ from cpdist.linalg import (
     swap2,
     zmat,
 )
+from cpdist.packing import _CAST_MIN_SLOTS, _PACK_HEADROOM_BITS, _common_twos, _pack, _unpack, _widen
 from cpdist.rng import Lcg, random_invertible, random_matrix, random_rank_one, random_tree_edges
 from cpdist.spectra import PARTS, claimed_spectrum, principal_submatrix
 
@@ -189,6 +188,16 @@ def list_bareiss_symmetric(num):
             u[i] = [(p * x - f * y) // prev for x, y in zip(u[i], row_k[i - k:])]
         prev = p
     return u, repairs
+
+
+def full_rows(elim):
+    """``(rows, repairs)`` of a ``_bareiss_symmetric`` result, each finished
+    row times its power of two, as ``list_bareiss_symmetric`` returns them;
+    None for None."""
+    if elim is None:
+        return None
+    u, twos, repairs = elim
+    return [[x << e for x in row] for row, e in zip(u, twos)], repairs
 
 
 def list_back_substitution(m):
@@ -368,14 +377,64 @@ def two_adic_symmetric_matrices(draw):
 
 
 @st.composite
-def repaired_symmetric_matrices(draw):
-    """``congruent_tail`` of orders 2-30 times 2^k, k in 0..40, whose tail
-    [[0, a], [a, b]] gives step n-2 a zero pivot: b != 0 repairs it by a
-    swap, b = 0 by an add."""
-    n = draw(st.integers(2, 30))
+def repaired_symmetric_matrices(draw, min_order=2):
+    """``congruent_tail`` of orders ``min_order``-30 times 2^k, k in 0..40,
+    whose tail [[0, a], [a, b]] gives step n-2 a zero pivot: b != 0 repairs
+    it by a swap, b = 0 by an add."""
+    n = draw(st.integers(min_order, 30))
     a = draw(st.integers(1, 5)) * draw(st.sampled_from([1, -1]))
     b = draw(st.sampled_from([0, 0, 1, -3, 4]))
     return (1 << draw(st.integers(0, 40))) * congruent_tail(n, [[0, a], [a, b]], draw(st.integers(0, 99)))
+
+
+# Book shapes (n, b) whose distance matrices, of order b*(n-1)+1, are packed
+# and at most of order 80.
+PACKED_BOOKS = [(n, b) for n in range(3, 9) for b in range(2, 40)
+                if _SYMMETRIC_PACK_MIN_ORDER <= b * (n - 1) + 1 <= 80]
+
+
+@st.composite
+def packed_distance_matrices(draw):
+    """Distance matrices of orders 24-80: seeded trees and books.  Their
+    Bareiss divisors d = prev >> z are a few bits wide, so the packed
+    elimination defers most divisions."""
+    if draw(st.booleans()):
+        spec = Tree(random_tree_edges(draw(st.integers(_SYMMETRIC_PACK_MIN_ORDER, 80)),
+                                      Lcg(draw(st.integers(0, 999)))))
+    else:
+        spec = TnBook(*draw(st.sampled_from(PACKED_BOOKS)))
+    return all_pairs_distances(build_family(spec))
+
+
+@contextmanager
+def proper_reads():
+    """While active, every packed row that ``_bareiss_packed`` hands to
+    ``_unpack``, ``_widen`` or ``_common_twos`` must be a proper packed row
+    of balanced digits, equal to the packing of its own unpacked slots: a
+    row still held times pending divisors c fails the check wherever c
+    times one of its digits overflows a slot."""
+    def proper(r, count, w):
+        assert _pack(_unpack(r, count, w), w) == r, "a slot of an undivided row was read"
+
+    def unpack(r, count, w):
+        proper(r, count, w)
+        return _unpack(r, count, w)
+
+    def widen(r, count, w, wider):
+        proper(r, count, w)
+        return _widen(r, count, w, wider)
+
+    def common_twos(row_k, rows, count, w):
+        for j, r in enumerate(rows):
+            proper(r, count - j, w)
+        return _common_twos(row_k, rows, count, w)
+
+    saved = linalg._unpack, linalg._widen, linalg._common_twos
+    linalg._unpack, linalg._widen, linalg._common_twos = unpack, widen, common_twos
+    try:
+        yield
+    finally:
+        linalg._unpack, linalg._widen, linalg._common_twos = saved
 
 
 def faddeev_leverrier(m):
@@ -912,7 +971,7 @@ class TestTwoAdicBackSubstitution:
     @given(repaired_symmetric_matrices())
     def test_swap_and_add_repairs(self, m):
         n = m.rows
-        _, repairs = _bareiss_symmetric(m.num)
+        _, _, repairs = _bareiss_symmetric(m.num)
         assert [k for k, _, _ in repairs] == [n - 2]
         assert inverse_or_none(m) == list_back_substitution(m)
 
@@ -957,7 +1016,7 @@ class TestPackedElimination:
     @settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(packed_symmetric_matrices())
     def test_matches_list_reference(self, m):
-        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert full_rows(_bareiss_symmetric(m.num)) == list_bareiss_symmetric(m.num)
 
     def test_repairs_inside_packed_phase(self):
         # a block diagonal of [[0, 1], [1, 0]]: every even step adds row and
@@ -965,7 +1024,7 @@ class TestPackedElimination:
         n = 2 * _SYMMETRIC_PACK_MIN_ORDER
         m = RationalMatrix.block([[swap2() if i == j else zmat(2, 2) for j in range(n // 2)]
                                   for i in range(n // 2)])
-        elim = _bareiss_symmetric(m.num)
+        elim = full_rows(_bareiss_symmetric(m.num))
         assert elim == list_bareiss_symmetric(m.num)
         assert [k for k, _, _ in elim[1]] == list(range(0, n, 2))
         assert det_exact(m) == (-1) ** (n // 2)
@@ -988,7 +1047,7 @@ class TestPackedElimination:
     ])
     def test_last_steps(self, n, tail, is_swap, scale):
         m = scale * congruent_tail(n, tail, n)
-        elim = _bareiss_symmetric(m.num)
+        elim = full_rows(_bareiss_symmetric(m.num))
         assert elim == list_bareiss_symmetric(m.num)
         if is_swap is None:
             assert elim is None
@@ -1022,7 +1081,7 @@ class TestPackedElimination:
     @settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
     @given(two_adic_symmetric_matrices())
     def test_two_adic_matches_references(self, m):
-        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert full_rows(_bareiss_symmetric(m.num)) == list_bareiss_symmetric(m.num)
         assert det_exact(m) == naive_det(m)
 
     @pytest.mark.parametrize("n", [24, 33, 57, 80])
@@ -1030,7 +1089,7 @@ class TestPackedElimination:
         # every Bareiss entry of a tree distance matrix at step k carries
         # about 2^(k-2), which the packed rows shed into their exponent
         d = all_pairs_distances(build_family(Tree(random_tree_edges(n, Lcg(n)))))
-        assert _bareiss_symmetric(d.num) == list_bareiss_symmetric(d.num)
+        assert full_rows(_bareiss_symmetric(d.num)) == list_bareiss_symmetric(d.num)
         assert det_exact(d) == naive_det(d)
 
     # At step 1 of "fewer-twos" the pivot row's entries carry at least 2^18
@@ -1045,7 +1104,7 @@ class TestPackedElimination:
     def test_two_adic_named_cases(self, twos, bound):
         rng = Lcg(1)
         m = two_adic_symmetric(twos, lambda i, j: rng.randint(-bound, bound))
-        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert full_rows(_bareiss_symmetric(m.num)) == list_bareiss_symmetric(m.num)
         assert det_exact(m) == naive_det(m)
 
     # A pivot row and the packed rows after it, of decreasing length as in
@@ -1082,15 +1141,21 @@ class TestPackedElimination:
             for j in range(i, n):
                 rows[i][j] = rows[j][i] = top if rng.randint(0, 1) else -top
         m = RationalMatrix.from_rows(rows)
-        assert _bareiss_symmetric(m.num) == list_bareiss_symmetric(m.num)
+        assert full_rows(_bareiss_symmetric(m.num)) == list_bareiss_symmetric(m.num)
         assert det_exact(m) == naive_det(m)
 
-    @pytest.mark.parametrize("width", [8, 16, 24, 64])
+    # Widths up to 64 bits read rows of _CAST_MIN_SLOTS slots or more as
+    # one int64 array; 72 and 128 take one int.from_bytes per slot.
+    @pytest.mark.parametrize("width", [8, 16, 24, 32, 40, 48, 56, 64, 72, 128])
     def test_packed_rows_hold_full_slots(self, width):
-        # digits at both ends of the balanced range survive packing,
-        # unpacking, the rounding shift by one slot and widening
+        # digits at both ends of the balanced range, and around each byte's
+        # sign bit, survive packing, unpacking, the rounding shift by one
+        # slot and widening
         top = (1 << (width - 1)) - 1
-        row = [top, -top, -top, 0, top, -1, 1, -top, top]
+        edges = [x * sign for b in range(width // 8) for x in (1 << (8 * b + 7), (1 << 8 * b + 7) - 1)
+                 for sign in (1, -1) if abs(x) <= top]
+        row = [top, -top, -top, 0, top, -1, 1, -top, top, *edges]
+        row += [(-1) ** t * (top >> t) for t in range(_CAST_MIN_SLOTS)]
         r = _pack(row, width)
         assert _unpack(r, len(row), width) == row
         half = 1 << (width - 1)
@@ -1098,6 +1163,18 @@ class TestPackedElimination:
             r = (r + half) >> width
             assert _unpack(r, len(row) - s, width) == row[s:]
         assert _unpack(_widen(_pack(row, width), len(row), width, width + 24), len(row), width + 24) == row
+
+    # The int64 array holds the slots' little-endian bytes only on a
+    # little-endian host, so elsewhere every row takes the slice loop, which
+    # reads the same entries.
+    @pytest.mark.parametrize("width", [24, 64])
+    def test_unpack_cast_only_on_a_little_endian_host(self, width, monkeypatch):
+        assert packing._CAST_UNPACK == (sys.byteorder == "little")
+        top = (1 << (width - 1)) - 1
+        row = [(-1) ** t * (top >> t % 5) for t in range(40)]
+        r = _pack(row, width)
+        monkeypatch.setattr(packing, "_CAST_UNPACK", False)
+        assert _unpack(r, len(row), width) == row
 
     def test_oracle_scaling_matrices(self):
         # the matrices whose determinants perfbench's oracle-scaling runs
@@ -1109,6 +1186,70 @@ class TestPackedElimination:
         book = all_pairs_distances(build_family(TnBook(8, 20)))
         assert det_exact(book) == tnb_det(8, 20)
         assert inverse_exact(book) == tnb_inverse(8, 20)
+
+
+class TestDeferredDivision:
+    """The packed elimination, which holds each trailing row times the
+    product c of the divisions still pending, gives the rows and the repair
+    log of ``list_bareiss_symmetric`` on each path: c growing over several
+    steps, a repair or a widening while c != 1, and c staying 1, under
+    ``proper_reads``."""
+
+    @settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(packed_distance_matrices())
+    def test_tree_and_book_distance_matrices(self, d):
+        with proper_reads():
+            assert full_rows(_bareiss_symmetric(d.num)) == list_bareiss_symmetric(d.num)
+
+    # An odd constant adds its powers to every pivot, so c * d crosses a
+    # digit at other steps, some of them widenings.
+    @settings(max_examples=25, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(packed_distance_matrices(), st.sampled_from([3, 5, 7, 9, 15, 99, -3]))
+    def test_times_an_odd_constant(self, d, odd):
+        m = odd * d
+        with proper_reads():
+            assert full_rows(_bareiss_symmetric(m.num)) == list_bareiss_symmetric(m.num)
+
+    # About a quarter of these repairs come while c != 1 (seen by logging c
+    # at each repair).
+    @settings(max_examples=40, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(repaired_symmetric_matrices(min_order=_SYMMETRIC_PACK_MIN_ORDER))
+    def test_repairs_at_packed_orders(self, m):
+        with proper_reads():
+            elim = full_rows(_bareiss_symmetric(m.num))
+        assert elim == list_bareiss_symmetric(m.num)
+        assert [k for k, _, _ in elim[1]] == [m.rows - 2]
+
+    # Entries of 31-40 bits whose pivots have odd parts wider than a digit:
+    # every d from step 1 on exceeds a digit, so c stays 1 and every step
+    # divides.
+    @settings(max_examples=15, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+    @given(st.integers(_SYMMETRIC_PACK_MIN_ORDER, _SYMMETRIC_PACK_MIN_ORDER + 12),
+           st.randoms(use_true_random=False))
+    def test_divisors_beyond_a_digit(self, n, rng):
+        rows = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i, n):
+                rows[i][j] = rows[j][i] = rng.choice([1, -1]) * rng.randint(1 << 31, 1 << 40)
+        expected = list_bareiss_symmetric(rows)
+        assume(expected is not None and not expected[1])
+        pivots = [row[0] for row in expected[0]]
+        assume(all(abs(p >> (p & -p).bit_length() - 1) >> linalg._DIGIT_BITS for p in pivots[:-1]))
+        with proper_reads():
+            assert full_rows(_bareiss_symmetric(rows)) == expected
+
+    # Found by logging c and d at each widening: at step 5
+    # of five times this order-24 tree's distance matrix, c = 937500000 is
+    # pending, c * d = 937500000 * 100000 no longer fits a digit, and the
+    # 32-bit slots widen, so the block is divided by c before its twos are
+    # read and before it widens.
+    def test_crossing_a_digit_at_a_widening(self):
+        m = 5 * all_pairs_distances(build_family(Tree(random_tree_edges(24, Lcg(24)))))
+        with proper_reads():
+            elim = full_rows(_bareiss_symmetric(m.num))
+        assert elim == list_bareiss_symmetric(m.num)
+        assert det_exact(m) == naive_det(m)
+        assert inverse_exact(m) == list_back_substitution(m)
 
 
 # Matrices whose elimination skips a pivotless column, with their ranks.
