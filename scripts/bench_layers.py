@@ -45,8 +45,10 @@ of random integer matrices of orders 3-71 and the rank of a singular one,
 and the determinant and inverse of random symmetric integer matrices of
 orders 30-100, whose eliminations carry at most one common factor 2),
 L1 the closed forms with their self-checks, the order-7001 book inverse as
-``bench`` assembles it, and scalar times, sum and comparison of the
-order-71 book inverse, L2 each of the five verify suites, L3 whole
+``bench`` assembles it, scalar times, sum and comparison of the order-71
+book inverse, the BFS distance matrices of the oracle-scaling tree and
+book, and the cp recognizer over the recognizer suite's corpus and on the
+order-200 tree, L2 each of the five verify suites, L3 whole
 commands (``verify --suite all``, a large book ``inv``, a large book and a
 large K_{m,n} ``gen``, a large book ``bench``, the order-200 tree ``det``),
 the Tier-1 test run and the end-to-end metrics of every perfbench
@@ -225,12 +227,31 @@ ARITHMETIC_SETUP = ("from cpdist import closed_form as cf\n"
 ARITHMETIC = (("scalar * X", "3 * x"), ("X + X", "x + x"), ("X == Y", "x == y"))
 
 
+# The graph layer: the BFS behind the oracle-scaling determinants, and the
+# cp recognizer over the graphs the recognizer suite certifies.
+GRAPH_SETUP = ("from cpdist import graphs as gr, suites\n"
+               "from cpdist.rng import Lcg, random_tree_edges")
+
+
+def graph_cases() -> list:
+    cases = [("all_pairs_distances", {"order": order, "graph": graph},
+              f"{GRAPH_SETUP}\ng = gr.build_family({spec})", "gr.all_pairs_distances(g)",
+              GENERAL_CALLS, 1) for graph, order, spec in DET_MATRICES]
+    tree = DET_MATRICES[0]
+    return cases + [
+        ("is_cp_graph", {"graphs": "suites._cp_corpus(42)"},
+         f"{GRAPH_SETUP}\ncorpus = [g for _, g, _ in suites._cp_corpus(42)]",
+         "[gr.is_cp_graph(g) for g in corpus]", GENERAL_CALLS, 1),
+        ("is_cp_graph", {"order": tree[1], "graph": tree[0]},
+         f"{GRAPH_SETUP}\ng = gr.build_family({tree[2]})", "gr.is_cp_graph(g)", GENERAL_CALLS, 1)]
+
+
 def l1_cases() -> list:
     setup = "from cpdist import closed_form as cf"
     gc_off = f"{setup}\nimport gc\ngc.disable()"
     cases = [(f"RationalMatrix {name}", {"order": 71, "matrix": "tnb_inverse(8, 10)"},
               ARITHMETIC_SETUP, call, GENERAL_CALLS, 10) for name, call in ARITHMETIC]
-    return cases + [
+    return cases + graph_cases() + [
         ("tnb_inverse", {"n": 8, "b": 50, "self_check": "default"}, setup,
          "cf.tnb_inverse(8, 50)", 3, 1),
         ("kmn_inverse", {"m": 100, "n": 100, "self_check": "default"}, setup,

@@ -1,4 +1,5 @@
-"""Mutation check of the exact kernels and of the integer-row matrix.
+"""Mutation check of the exact kernels, of the integer-row matrix, and of
+the graph layer's BFS and block recognizer.
 
     python scripts/mutants.py
 
@@ -34,13 +35,16 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 LINALG = "src/cpdist/linalg.py"
 PACKING = "src/cpdist/packing.py"
+GRAPHS = "src/cpdist/graphs.py"
 LINALG_TESTS = "tests/test_linalg.py"
+GRAPHS_TESTS = "tests/test_graphs.py"
 TIMEOUT_S = 300
 GENERAL = (LINALG_TESTS, "-x", "-k", "TestRank or TestInverse")
 REPAIRS = (LINALG_TESTS, "-x", "-k", "TestDeterminant or TestSymmetricInverse")
 PACKED = (LINALG_TESTS, "-x", "-k", "TestPackedElimination")
 BACKSUB = (LINALG_TESTS, "-x", "-k", "TestTwoAdicBackSubstitution")
 DEFERRED = (LINALG_TESTS, "-x", "-k", "TestDeferredDivision")
+RECOGNIZER = (GRAPHS_TESTS, "-x", "-k", "TestClassifyBlock or TestCpRecognizer")
 
 MUTANTS = [
     # The integer-row matrix.
@@ -224,6 +228,32 @@ MUTANTS = [
      "                if False:",
      BACKSUB,
      "floor instead of the exact shift for a negative exponent"),
+    # The BFS and the block recognizer.
+    (GRAPHS,
+     "if all((level[u] ^ level[v]) & 1 for u, v in induced):",
+     "if all((level[u] | level[v]) & 1 for u, v in induced):",
+     RECOGNIZER,
+     "test the levels of an edge with | in place of ^"),
+    (GRAPHS,
+     "return (CompleteBipartite if len(induced) == m * (k - m) else Bipartite)(m, k - m)",
+     "return CompleteBipartite(m, k - m)",
+     RECOGNIZER,
+     "name every bipartite block complete bipartite"),
+    (GRAPHS,
+     "== [2] * (k - 2) + [k - 1] * 2:",
+     "== [2] * (k - 2) + [k - 2] * 2:",
+     RECOGNIZER,
+     "give the fan's two base vertices degree k - 2"),
+    (GRAPHS,
+     '    if min(level[1:]) < 0:\n        raise GraphError("block is not connected")\n',
+     "",
+     RECOGNIZER,
+     "drop the check that the block is connected"),
+    (GRAPHS,
+     '        if min(row) < 0:\n            raise GraphError("graph not connected")\n',
+     "",
+     (GRAPHS_TESTS, "-x", "-k", "TestDistances"),
+     "drop the connectivity check of all_pairs_distances"),
 ]
 
 CONTROL = (

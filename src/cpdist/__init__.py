@@ -32,7 +32,7 @@ from .closed_form import (
     tree_inverse,
 )
 from .graphs import (
-    BlockClass,
+    Bipartite,
     BlockDecomposition,
     CompleteBipartite,
     FamilySpec,

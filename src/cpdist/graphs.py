@@ -5,13 +5,16 @@ All vertex labels are 1-based.  Family constructors follow a fixed canonical
 indexing: the triangle fan ``tn`` puts its two base vertices first, and the
 book family ``tn_book`` numbers each block's base pair then its local
 non-base vertices, with the shared hub last (label b*(n-1)+1).
+
+The recognizer names each block by the spec of its family:
+``CompleteBipartite(m, n)``, ``K4()`` or ``TnSingle(n)``, or
+``Bipartite(m, n)`` for a bipartite block with no closed form.  Distances,
+connectivity and the recognizer's parity test all read one level-list BFS.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional, Union
 
 from .linalg import RationalMatrix
@@ -60,6 +63,15 @@ FamilySpec = Union[TnSingle, TnBook, CompleteBipartite, Tree, K4]
 
 
 @dataclass(frozen=True)
+class Bipartite:
+    """A connected bipartite block with parts of m and n vertices that is not
+    K_{m,n}, so no closed form covers it."""
+
+    m: int
+    n: int
+
+
+@dataclass(frozen=True)
 class Graph:
     """Simple undirected graph; edges are normalized (u, v) pairs with u < v."""
 
@@ -77,29 +89,22 @@ class Graph:
             normalized.add((min(u, v), max(u, v)))
         return cls(vertex_count, frozenset(normalized))
 
-    def adjacency(self) -> dict:
-        adj: dict = {v: [] for v in range(1, self.vertex_count + 1)}
+    def adjacency(self) -> list:
+        """Sorted neighbour lists indexed by vertex; slot 0 is empty."""
+        adj: list = [[] for _ in range(self.vertex_count + 1)]
         for u, v in self.edges:
             adj[u].append(v)
             adj[v].append(u)
-        for neighbors in adj.values():
+        for neighbors in adj:
             neighbors.sort()
         return adj
 
     def degrees(self) -> list:
-        adj = self.adjacency()
-        return [len(adj[v]) for v in range(1, self.vertex_count + 1)]
+        return [len(neighbors) for neighbors in self.adjacency()[1:]]
 
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-
-class BlockClass(Enum):
-    BIPARTITE = "bipartite"
-    K4 = "k4"
-    TN = "tn"
-    OTHER = "other"
 
 
 @dataclass(frozen=True)
@@ -176,18 +181,7 @@ def _build_tree(spec: Tree) -> Graph:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.vertex_count == 0:
-        return False
-    adj = g.adjacency()
-    seen = {1}
-    queue = deque([1])
-    while queue:
-        u = queue.popleft()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return len(seen) == g.vertex_count
+    return g.vertex_count > 0 and min(_bfs(g.adjacency(), 1)[1:]) >= 0
 
 
 def is_tree(g: Graph) -> bool:
@@ -195,27 +189,12 @@ def is_tree(g: Graph) -> bool:
 
 
 def all_pairs_distances(g: Graph) -> RationalMatrix:
-    """Shortest-path distance matrix by BFS from every vertex, one level at
-    a time: the vertices first reached at distance l are listed as the
-    frontier from which level l + 1 is found."""
+    """Shortest-path distance matrix by BFS from every vertex."""
     n = g.vertex_count
-    # neighbors[v] lists the neighbors of vertex v; slot 0 is unused
-    neighbors = [[], *g.adjacency().values()]
+    neighbors = g.adjacency()
     rows = []
     for source in range(1, n + 1):
-        dist = [-1] * (n + 1)
-        dist[source] = 0
-        frontier, level = [source], 0
-        while frontier:
-            level += 1
-            reached = []
-            for u in frontier:
-                for v in neighbors[u]:
-                    if dist[v] < 0:
-                        dist[v] = level
-                        reached.append(v)
-            frontier = reached
-        row = dist[1:]
+        row = _bfs(neighbors, source)[1:]
         if min(row) < 0:
             raise GraphError("graph not connected")
         rows.append(row)
@@ -300,84 +279,56 @@ def _pop_block(edge_stack: list, marker: tuple) -> tuple:
     return tuple(sorted(members))
 
 
-def classify_block(g: Graph, block) -> BlockClass:
-    """Classify one block as bipartite, K4, a triangle fan, or other.
+def classify_block(g: Graph, block) -> Optional[Union[CompleteBipartite, Bipartite, K4, TnSingle]]:
+    """The family spec of one connected block, or None when it has none.
 
-    Checks run in that fixed order so certificates are deterministic; a
-    single edge counts as bipartite.
+    The members are numbered 1..k in ascending order and searched by BFS
+    from member 1.  The block is bipartite iff every induced edge joins
+    levels of different parity; its parts are then the m members at even
+    levels and the k - m at odd ones, and it is ``CompleteBipartite(m, k - m)``
+    when it has m(k - m) edges, else ``Bipartite(m, k - m)``.  A single edge
+    is ``CompleteBipartite(1, 1)``.  Otherwise it is ``K4()`` when it has
+    4 members and 6 edges, and ``TnSingle(k)`` when its sorted degrees are
+    [2] * (k - 2) + [k - 1] * 2: two members of degree k - 1 meet every
+    other member and so each other, and a member of degree 2 then meets
+    those two only, which is exactly the fan T_k.
     """
-    members = set(block)
+    members = sorted(set(block))
     if not members:
         raise GraphError("empty block")
-    if any(v < 1 or v > g.vertex_count for v in members):
+    if members[0] < 1 or members[-1] > g.vertex_count:
         raise GraphError("block is not a subset of the vertex set")
-    induced = [(u, v) for u, v in g.edges if u in members and v in members]
-    if _is_bipartite(members, induced):
-        return BlockClass.BIPARTITE
-    if len(members) == 4 and len(induced) == 6:
-        return BlockClass.K4
-    if _is_triangle_fan(members, induced):
-        return BlockClass.TN
-    return BlockClass.OTHER
-
-
-def _is_bipartite(members: set, induced: list) -> bool:
-    adj: dict = {v: [] for v in members}
+    k = len(members)
+    index = {v: i for i, v in enumerate(members, 1)}
+    induced = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+    neighbors: list = [[] for _ in range(k + 1)]
     for u, v in induced:
-        adj[u].append(v)
-        adj[v].append(u)
-    color: dict = {}
-    for root in sorted(members):
-        if root in color:
-            continue
-        color[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v in adj[u]:
-                if v not in color:
-                    color[v] = 1 - color[u]
-                    queue.append(v)
-                elif color[v] == color[u]:
-                    return False
-    return True
-
-
-def _is_triangle_fan(members: set, induced: list) -> bool:
-    """True iff some adjacent pair is joined to everything and all remaining
-    vertices have degree exactly 2 (hence meet only that pair)."""
-    size = len(members)
-    if size < 3:
-        return False
-    degree = {v: 0 for v in members}
-    edge_set = set(induced)
-    for u, v in induced:
-        degree[u] += 1
-        degree[v] += 1
-    full = [v for v in sorted(members) if degree[v] == size - 1]
-    for i, u in enumerate(full):
-        for v in full[i + 1:]:
-            if (min(u, v), max(u, v)) not in edge_set:
-                continue
-            if all(degree[w] == 2 for w in members if w != u and w != v):
-                return True
-    return False
+        neighbors[u].append(v)
+        neighbors[v].append(u)
+    level = _bfs(neighbors, 1)
+    if min(level[1:]) < 0:
+        raise GraphError("block is not connected")
+    if all((level[u] ^ level[v]) & 1 for u, v in induced):
+        m = sum(1 for d in level[1:] if d % 2 == 0)
+        return (CompleteBipartite if len(induced) == m * (k - m) else Bipartite)(m, k - m)
+    if k == 4 and len(induced) == 6:
+        return K4()
+    if sorted(map(len, neighbors[1:])) == [2] * (k - 2) + [k - 1] * 2:
+        return TnSingle(k)
+    return None
 
 
 def is_cp_graph(g: Graph):
     """Recognize a completely positive graph block by block.
 
-    Returns (verdict, certificate) where the certificate lists every block
-    with its class; the verdict is true iff no block classifies as OTHER.
+    Returns (verdict, certificate) where the certificate pairs every block
+    with its ``classify_block`` spec (``CompleteBipartite``, ``Bipartite``,
+    ``K4`` or ``TnSingle``); the verdict is true iff every spec is not None.
     """
     if not is_connected(g):
         raise GraphError("graph not connected")
-    decomposition = biconnected_blocks(g)
-    certificate = [
-        (block, classify_block(g, block)) for block in decomposition.blocks
-    ]
-    verdict = all(cls is not BlockClass.OTHER for _, cls in certificate)
-    return verdict, certificate
+    certificate = [(block, classify_block(g, block)) for block in biconnected_blocks(g).blocks]
+    return all(spec is not None for _, spec in certificate), certificate
 
 
 def tnb_partition(n: int, b: int) -> VertexPartition:
@@ -391,3 +342,22 @@ def tnb_partition(n: int, b: int) -> VertexPartition:
         (k - 1) * (n - 1) + i for k in range(1, b + 1) for i in range(3, n)
     )
     return VertexPartition(base, nonbase, b * (n - 1) + 1)
+
+
+def _bfs(neighbors: list, source: int) -> list:
+    """Distances from ``source`` by BFS, indexed by vertex like ``neighbors``,
+    with -1 where no path reaches.  The vertices first reached at distance l
+    are listed as the frontier from which level l + 1 is found."""
+    dist = [-1] * len(neighbors)
+    dist[source] = 0
+    frontier, level = [source], 0
+    while frontier:
+        level += 1
+        reached = []
+        for u in frontier:
+            for v in neighbors[u]:
+                if dist[v] < 0:
+                    dist[v] = level
+                    reached.append(v)
+        frontier = reached
+    return dist

@@ -12,7 +12,7 @@ rationals as strings); only the wall-time field varies between runs.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
@@ -83,7 +83,7 @@ class VerificationReport:
     wall_time_ms: int
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 def _cell(check: str, fn, *fixtures, **params):

@@ -113,3 +113,16 @@ def test_ratios_of_a_zero_before_value_and_of_fewer_rounds():
     assert after["pairs_after_lower"] is None
     assert after["ratios"] == [None, 0.5, 2.0]
     assert after["ratio_median"] == 1.25
+
+
+def test_graph_rows_run_the_bfs_and_the_recognizer_in_a_checkout():
+    rows = [case for case in bl.l1_cases() if case[0] in ("all_pairs_distances", "is_cp_graph")]
+    assert [(name, params) for name, params, *_ in rows] == [
+        ("all_pairs_distances", {"order": 200, "graph": "tree n=200 seed=42"}),
+        ("all_pairs_distances", {"order": 141, "graph": "tn-book n=8 b=20"}),
+        ("is_cp_graph", {"graphs": "suites._cp_corpus(42)"}),
+        ("is_cp_graph", {"order": 200, "graph": "tree n=200 seed=42"})]
+    for case in rows:
+        row = bl._kernel("L1", *case)
+        assert row.params["per_process"] == f"median of {bl.GENERAL_CALLS} calls"
+        assert row.measure(bl.ROOT, 0)["ms"] > 0

@@ -1,13 +1,15 @@
 """Graph families, metrics, block decomposition and the cp recognizer."""
 
+from collections import deque
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cpdist.graphs import (
-    BlockClass,
+    Bipartite,
     CompleteBipartite,
     Graph,
     GraphError,
@@ -19,6 +21,7 @@ from cpdist.graphs import (
     biconnected_blocks,
     build_family,
     classify_block,
+    is_connected,
     is_cp_graph,
     is_tree,
     laplacian,
@@ -199,13 +202,10 @@ def _connected_after_removal(g, gone):
     return len(seen) == len(verts)
 
 
-def test_decomposition_matches_brute_force_on_random_graphs():
-    # oracle: a cut vertex is exactly one whose removal disconnects the graph
-    from itertools import combinations
-
-    rng = Lcg(99)
-    checked = 0
-    while checked < 60:
+def _random_connected_graph(rng):
+    """The first connected graph drawn from ``rng``: 3-8 vertices, each pair
+    joined with probability 0.45."""
+    while True:
         n = rng.randint(3, 8)
         edges = {
             (u, v)
@@ -213,11 +213,16 @@ def test_decomposition_matches_brute_force_on_random_graphs():
             if rng.randint(0, 99) < 45
         }
         g = Graph.from_edges(n, edges)
-        from cpdist.graphs import is_connected
+        if is_connected(g):
+            return g
 
-        if not is_connected(g):
-            continue
-        checked += 1
+
+def test_decomposition_matches_brute_force_on_random_graphs():
+    # oracle: a cut vertex is exactly one whose removal disconnects the graph
+    rng = Lcg(99)
+    for _ in range(60):
+        g = _random_connected_graph(rng)
+        n = g.vertex_count
         decomposition = biconnected_blocks(g)
         brute_cuts = {
             v for v in range(1, n + 1) if not _connected_after_removal(g, v)
@@ -231,35 +236,141 @@ def test_decomposition_matches_brute_force_on_random_graphs():
             assert (membership >= 2) == (v in brute_cuts)
 
 
+def _is_bipartite(members: set, induced: list) -> bool:
+    adj: dict = {v: [] for v in members}
+    for u, v in induced:
+        adj[u].append(v)
+        adj[v].append(u)
+    color: dict = {}
+    for root in sorted(members):
+        if root in color:
+            continue
+        color[root] = 0
+        queue = deque([root])
+        while queue:
+            u = queue.popleft()
+            for v in adj[u]:
+                if v not in color:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return False
+    return True
+
+
+def _is_triangle_fan(members: set, induced: list) -> bool:
+    """True iff some adjacent pair is joined to everything and all remaining
+    vertices have degree exactly 2 (hence meet only that pair)."""
+    size = len(members)
+    if size < 3:
+        return False
+    degree = {v: 0 for v in members}
+    edge_set = set(induced)
+    for u, v in induced:
+        degree[u] += 1
+        degree[v] += 1
+    full = [v for v in sorted(members) if degree[v] == size - 1]
+    for i, u in enumerate(full):
+        for v in full[i + 1:]:
+            if (min(u, v), max(u, v)) not in edge_set:
+                continue
+            if all(degree[w] == 2 for w in members if w != u and w != v):
+                return True
+    return False
+
+
+def _reference_kind(members: set, induced: list) -> str:
+    """The recognizer's verdict before blocks were named by spec: the
+    bipartite colouring and the pairwise fan search, in that order."""
+    if _is_bipartite(members, induced):
+        return "bipartite"
+    if len(members) == 4 and len(induced) == 6:
+        return "k4"
+    if _is_triangle_fan(members, induced):
+        return "tn"
+    return "other"
+
+
+_KIND = {CompleteBipartite: "bipartite", Bipartite: "bipartite", K4: "k4", TnSingle: "tn",
+         type(None): "other"}
+
+
 class TestClassifyBlock:
     def test_four_cycle_bipartite(self):
         g = cycle_graph(4)
-        assert classify_block(g, (1, 2, 3, 4)) is BlockClass.BIPARTITE
+        assert classify_block(g, (1, 2, 3, 4)) == CompleteBipartite(2, 2)
 
     def test_single_edge_bipartite(self):
         g = build_family(Tree(((1, 2),)))
-        assert classify_block(g, (1, 2)) is BlockClass.BIPARTITE
+        assert classify_block(g, (1, 2)) == CompleteBipartite(1, 1)
 
     def test_triangle_is_fan(self):
         g = build_family(TnSingle(3))
-        assert classify_block(g, (1, 2, 3)) is BlockClass.TN
+        assert classify_block(g, (1, 2, 3)) == TnSingle(3)
 
     def test_k4(self):
         g = build_family(K4())
-        assert classify_block(g, (1, 2, 3, 4)) is BlockClass.K4
+        assert classify_block(g, (1, 2, 3, 4)) == K4()
 
     def test_k5_other(self):
         g = complete_graph(5)
-        assert classify_block(g, (1, 2, 3, 4, 5)) is BlockClass.OTHER
+        assert classify_block(g, (1, 2, 3, 4, 5)) is None
 
     def test_fan_block(self):
         g = build_family(TnSingle(6))
-        assert classify_block(g, tuple(range(1, 7))) is BlockClass.TN
+        assert classify_block(g, tuple(range(1, 7))) == TnSingle(6)
 
     def test_rejects_foreign_vertices(self):
         g = build_family(TnSingle(3))
         with pytest.raises(GraphError, match="subset"):
             classify_block(g, (1, 2, 9))
+
+    @pytest.mark.parametrize("spec", [
+        *[CompleteBipartite(m, n) for m in range(1, 6) for n in range(1, 6)],
+        *[TnSingle(n) for n in range(3, 11)],
+        K4(),
+    ])
+    def test_family_classifies_back_to_its_spec(self, spec):
+        g = build_family(spec)
+        assert classify_block(g, range(1, g.vertex_count + 1)) == spec
+
+    def test_even_cycles_are_bipartite_without_closed_form(self):
+        assert classify_block(cycle_graph(6), range(1, 7)) == Bipartite(3, 3)
+        assert classify_block(cycle_graph(8), range(1, 9)) == Bipartite(4, 4)
+
+    def test_odd_cycle_and_wheel_have_no_spec(self):
+        assert classify_block(cycle_graph(5), range(1, 6)) is None
+        # the wheel: hub 6 joined to every vertex of the 5-cycle
+        wheel = Graph.from_edges(6, [*cycle_graph(5).edges, *((v, 6) for v in range(1, 6))])
+        assert classify_block(wheel, range(1, 7)) is None
+
+    def test_fan_plus_a_nonbase_edge_has_no_spec(self):
+        g = Graph.from_edges(5, [*build_family(TnSingle(5)).edges, (3, 4)])
+        assert classify_block(g, range(1, 6)) is None
+
+    def test_rejects_disconnected_vertex_set(self):
+        g = Graph.from_edges(4, [(1, 2), (3, 4)])
+        with pytest.raises(GraphError, match="not connected"):
+            classify_block(g, (1, 2, 3, 4))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_blocks_of_random_graphs_match_the_reference(self, seed):
+        g = _random_connected_graph(Lcg(seed))
+        for block in biconnected_blocks(g).blocks:
+            members = set(block)
+            induced = [(u, v) for u, v in g.edges if u in members and v in members]
+            spec = classify_block(g, block)
+            assert _KIND[type(spec)] == _reference_kind(members, induced)
+            if isinstance(spec, (CompleteBipartite, Bipartite)):
+                assert spec.m + spec.n == len(block)
+                assert isinstance(spec, CompleteBipartite) == (len(induced) == spec.m * spec.n)
+
+
+def test_is_connected_on_the_smallest_graphs():
+    assert not is_connected(Graph.from_edges(0, []))
+    assert is_connected(Graph.from_edges(1, []))
+    assert not is_connected(Graph.from_edges(2, []))
 
 
 class TestCpRecognizer:
@@ -268,7 +379,7 @@ class TestCpRecognizer:
             for b in range(2, 5):
                 verdict, certificate = is_cp_graph(build_family(TnBook(n, b)))
                 assert verdict
-                assert all(cls is BlockClass.TN for _, cls in certificate)
+                assert all(spec == TnSingle(n) for _, spec in certificate)
 
     def test_trees_are_cp(self):
         rng = Lcg(17)
@@ -276,7 +387,7 @@ class TestCpRecognizer:
             g = build_family(Tree(random_tree_edges(rng.randint(2, 10), rng)))
             verdict, certificate = is_cp_graph(g)
             assert verdict
-            assert all(cls is BlockClass.BIPARTITE for _, cls in certificate)
+            assert all(spec == CompleteBipartite(1, 1) for _, spec in certificate)
 
     def test_k4_and_c4_are_cp(self):
         assert is_cp_graph(build_family(K4()))[0]
@@ -285,7 +396,7 @@ class TestCpRecognizer:
     def test_k5_not_cp(self):
         verdict, certificate = is_cp_graph(complete_graph(5))
         assert not verdict
-        assert certificate[0][1] is BlockClass.OTHER
+        assert certificate[0][1] is None
 
     def test_petersen_not_cp(self):
         verdict, certificate = is_cp_graph(petersen_graph())
